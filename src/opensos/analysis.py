@@ -2,19 +2,17 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .terms import (
-    App,
     Equation,
-    Signature,
     Term,
     Var,
     enumerate_closed_terms,
     is_linear,
     vars_of,
 )
-from .tss import FormatViolation, Rule, Tss, destructure_rule, rule_head
+from .tss import FormatViolation, Tss, destructure_rule, rule_head
 from .ruloids import initial_actions, transitions
 
 

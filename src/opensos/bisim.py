@@ -9,17 +9,16 @@ Fails always bottoms out in a concretely unmatched ruloid.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .terms import (
-    App,
     Term,
     Var,
     apply_subst,
     canonical_names,
     enumerate_closed_terms,
     term_size,
-    var_occurrences,
+    var_order,
     vars_of,
 )
 from .tss import Tss
@@ -258,10 +257,7 @@ def _is_proper_pair(s: Term, t: Term) -> bool:
 
 
 def _canon_pair(s: Term, t: Term) -> tuple[Term, Term]:
-    order: list[str] = []
-    for name in var_occurrences(s) + var_occurrences(t):
-        if name not in order:
-            order.append(name)
+    order = list(dict.fromkeys(var_order(s) + var_order(t)))
     ren = {x: Var(y) for x, y in zip(order, canonical_names(len(order)))}
     return apply_subst(ren, s), apply_subst(ren, t)
 
@@ -357,7 +353,8 @@ class _Game:
         self.pair_cap = pair_cap
         self.proper = proper
         self.nodes: dict = {}
-        self.capped = False
+        # the bounds that fired: "pair", "size" and/or "hypothesis"
+        self.capped: set[str] = set()
 
     def node_for(self, key):
         raise NotImplementedError
@@ -365,8 +362,13 @@ class _Game:
     def key_size(self, key) -> int:
         return max(term_size(key[0]), term_size(key[1]))
 
-    def ruloid_oversized(self, r: Ruloid) -> bool:
-        return term_size(r.target) > self.SIZE_CAP or len(r.hyps) > self.HYP_CAP
+    def ruloid_oversized(self, r: Ruloid) -> str | None:
+        """The bound a ruloid exceeds, if any."""
+        if term_size(r.target) > self.SIZE_CAP:
+            return "size"
+        if len(r.hyps) > self.HYP_CAP:
+            return "hypothesis"
+        return None
 
     def run(self, root_key) -> Verdict:
         frontier = [root_key]
@@ -375,7 +377,7 @@ class _Game:
             nxt = []
             for key in frontier:
                 if len(self.nodes) >= self.pair_cap:
-                    self.capped = True
+                    self.capped.add("pair")
                     break
                 node = self.node_for(key)
                 self.nodes[key] = node
@@ -386,7 +388,7 @@ class _Game:
                                 # runaway derivative growth: leave the node
                                 # unexplored; Holds then requires a retry with
                                 # different bounds, Fails stays definitive
-                                self.capped = True
+                                self.capped.add("size")
                                 continue
                             queued.add(opt)
                             nxt.append(opt)
@@ -418,8 +420,12 @@ class _Game:
         if not self.capped:
             good = [k for k in self.nodes if k not in bad]
             return Verdict(HOLDS, self.hold_reason(), certificate=self.certificate(good))
-        return Verdict(INCONCLUSIVE,
-                       "pair cap %d reached without closure" % self.pair_cap)
+        caps = {"pair": "pair cap %d" % self.pair_cap,
+                "size": "size cap %d" % self.SIZE_CAP,
+                "hypothesis": "hypothesis cap %d" % self.HYP_CAP}
+        fired = " and ".join(text for name, text in caps.items()
+                             if name in self.capped)
+        return Verdict(INCONCLUSIVE, "%s reached without closure" % fired)
 
     def _witness(self, key, bad) -> dict:
         trace = []
@@ -455,18 +461,20 @@ class _FhGame(_Game):
         obligations = []
         for a, b in ((s, t), (t, s)):
             for r in ruloids(a, self.tss):
-                if self.ruloid_oversized(r):
+                cap = self.ruloid_oversized(r)
+                if cap:
                     # the obligation cannot even be posed within the budget;
                     # dropping it blocks Holds (capped) without forcing Fails
-                    self.capped = True
+                    self.capped.add(cap)
                     continue
                 options = []
-                oversized = False
+                oversized = set()
                 for r2 in ruloids(b, self.tss):
                     if r2.label != r.label:
                         continue
-                    if self.ruloid_oversized(r2):
-                        oversized = True
+                    cap = self.ruloid_oversized(r2)
+                    if cap:
+                        oversized.add(cap)
                         continue
                     for mapping in _bijective_alignments(r2, r):
                         t2 = apply_subst({x: Var(y) for x, y in mapping.items()},
@@ -475,7 +483,7 @@ class _FhGame(_Game):
                 if oversized:
                     # some response was beyond the budget: treat the
                     # obligation as met at this bound, never as refuted
-                    self.capped = True
+                    self.capped |= oversized
                     continue
                 desc = {"from": [str(a), str(b)], "ruloid": str(r)}
                 obligations.append((desc, sorted(set(options), key=str)))
@@ -509,10 +517,7 @@ def fh_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds(),
 
 def _canon_state(s: Term, t: Term, gamma: frozenset[Hyp]
                  ) -> tuple[Term, Term, frozenset[Hyp]]:
-    order: list[str] = []
-    for name in var_occurrences(s) + var_occurrences(t):
-        if name not in order:
-            order.append(name)
+    order = list(dict.fromkeys(var_order(s) + var_order(t)))
     known = {x: i for i, x in enumerate(order)}
     big = 1 << 30
 
@@ -618,8 +623,9 @@ class _HpGame(_Game):
         obligations = []
         for a, b, flip in ((s, t, False), (t, s, True)):
             for r in ruloids(a, self.tss):
-                if self.ruloid_oversized(r):
-                    self.capped = True
+                cap = self.ruloid_oversized(r)
+                if cap:
+                    self.capped.add(cap)
                     continue
                 for mu in _merge_maps(r, gamma):
                     sub = {x: Var(y) for x, y in mu.items()}
@@ -629,12 +635,13 @@ class _HpGame(_Game):
                     gamma2 = merged | gamma
                     a2 = apply_subst(sub, r.target)
                     options = []
-                    oversized = False
+                    oversized = set()
                     for r2 in ruloids(b, self.tss):
                         if r2.label != r.label:
                             continue
-                        if self.ruloid_oversized(r2):
-                            oversized = True
+                        cap = self.ruloid_oversized(r2)
+                        if cap:
+                            oversized.add(cap)
                             continue
                         for emb in _embeddings(r2, gamma2):
                             b2 = apply_subst(
@@ -645,7 +652,7 @@ class _HpGame(_Game):
                                 left, right, _gc(left, right, gamma2)
                             ))
                     if oversized:
-                        self.capped = True
+                        self.capped |= oversized
                         continue
                     desc = {
                         "from": [str(a), str(b)],

@@ -454,7 +454,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else INPUT_ERROR
+        if isinstance(exc.code, int):
+            return exc.code
+        print("error: %s" % exc.code, file=sys.stderr)
+        return INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .terms import (
     canonical_names,
     is_closed,
     term_size,
-    var_occurrences,
+    var_order,
     vars_of,
 )
 from .tss import Tss
@@ -60,9 +60,7 @@ def _canonicalize(source: Term, label: str, target: Term,
     Order: source variable's first occurrence in the conclusion source,
     then label name, then discovery order (stable tiebreak).
     """
-    occ = {}
-    for i, name in enumerate(var_occurrences(source)):
-        occ.setdefault(name, i)
+    occ = {name: i for i, name in enumerate(var_order(source))}
     ordered = sorted(hyps, key=lambda hs: (occ.get(hs[0].source, 1 << 30),
                                            hs[0].label, hs[1]))
     avoid = vars_of(source)
@@ -90,8 +88,7 @@ def _synthesize(t: Term, tss: Tss) -> tuple[Ruloid, ...]:
 
     sub_ruloids = [ruloids(a, tss) for a in t.args]
     results: list[Ruloid] = []
-    for rule in tss.defining_rules(t.op):
-        shape = tss.shape(rule)
+    for shape in tss.defining_shapes(t.op):
         base_binding: dict[str, Term] = {
             x: arg for x, arg in zip(shape.source_vars, t.args)
         }
@@ -149,8 +146,7 @@ def transitions(p: Term, tss: Tss) -> frozenset[tuple[str, Term]]:
         return cache[p]
     assert isinstance(p, App)
     result: set[tuple[str, Term]] = set()
-    for rule in tss.defining_rules(p.op):
-        shape = tss.shape(rule)
+    for shape in tss.defining_shapes(p.op):
         binding: dict[str, Term] = {
             x: arg for x, arg in zip(shape.source_vars, p.args)
         }

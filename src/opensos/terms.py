@@ -1,12 +1,16 @@
 """Signatures, terms, substitutions and equations.
 
 Everything here is immutable and purely functional; terms are shared
-freely between the analyses and the checkers.
+freely between the analyses and the checkers.  Operator applications are
+hash-consed, so their equality is identity: two `App` terms are equal
+exactly when they are the same object.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import threading
+import weakref
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 
@@ -18,57 +22,59 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
 class App:
+    """An operator applied to a tuple of argument terms.
+
+    Hash-consed: constructing an App equal to one that is still alive
+    returns that node, so structural equality is object identity, and
+    `==` and `hash` use the identity of the node, however large the term.
+    Nodes are immutable.  Facts derived from the structure are computed
+    once per node, from the children's: size, depth, closedness and the
+    variables in first-occurrence order.
+    """
+
+    __slots__ = ("op", "args", "size", "depth", "closed", "vorder",
+                 "_str", "__weakref__")
+
     op: str
-    args: tuple = ()
+    args: tuple
+    size: int  # operator nodes
+    depth: int
+    closed: bool
+    vorder: tuple[str, ...]  # variable names in leftmost first-occurrence order
 
-    # derivative terms share subterms heavily, so hash, size and closedness
-    # are computed once per node instead of per traversal
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.op, self.args)))
-        object.__setattr__(
-            self, "size",
-            1 + sum(a.size for a in self.args if isinstance(a, App)))
-        object.__setattr__(
-            self, "depth",
-            1 + max((a.depth for a in self.args if isinstance(a, App)),
-                    default=0))
-        object.__setattr__(
-            self, "closed",
-            all(isinstance(a, App) and a.closed for a in self.args))
+    def __new__(cls, op: str, args: tuple = ()):
+        key = (op, args)
+        node = _interned.get(key)
+        if node is not None:
+            return node
+        with _intern_lock:
+            node = _interned.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                _init_node(node, key)
+                _interned[key] = node
+        return node
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError("App is immutable")
 
-    def __eq__(self, other) -> bool:
-        # iterative, with an identity shortcut: shared subterms make deep
-        # recursive comparison both slow and stack-hungry
-        if self is other:
-            return True
-        if not isinstance(other, App):
-            return NotImplemented
-        stack: list = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if isinstance(a, Var):
-                if not (isinstance(b, Var) and a.name == b.name):
-                    return False
-                continue
-            if (not isinstance(b, App) or a._hash != b._hash
-                    or a.op != b.op or len(a.args) != len(b.args)):
-                return False
-            stack.extend(zip(a.args, b.args))
-        return True
+    def __delattr__(self, name):
+        raise AttributeError("App is immutable")
+
+    # rebuild through the constructor, so copies and unpickled terms are
+    # the interned nodes themselves
+    def __reduce__(self):
+        return (App, (self.op, self.args))
+
+    def __repr__(self) -> str:
+        return "App(op=%r, args=%r)" % (self.op, self.args)
 
     def __str__(self) -> str:
         # iterative (derivative terms can nest far beyond the stack limit)
         # and cached, since sort keys print the same terms over and over
-        cached = self.__dict__.get("_str")
-        if cached is not None:
-            return cached
+        if self._str is not None:
+            return self._str
         out: list[str] = []
         stack: list = [self]
         while stack:
@@ -77,8 +83,8 @@ class App:
                 out.append(t)
             elif isinstance(t, Var):
                 out.append(t.name)
-            elif t.__dict__.get("_str") is not None:
-                out.append(t.__dict__["_str"])
+            elif t._str is not None:
+                out.append(t._str)
             elif not t.args:
                 out.append(t.op)
             else:
@@ -91,6 +97,29 @@ class App:
         text = "".join(out)
         object.__setattr__(self, "_str", text)
         return text
+
+
+# (op, args) -> the live node; weak, so it drains as terms die
+_interned: "weakref.WeakValueDictionary[tuple, App]" = weakref.WeakValueDictionary()
+_intern_lock = threading.Lock()
+
+
+def _init_node(node: App, key: tuple) -> None:
+    op, args = key
+    size, depth = 1, 0
+    order: dict[str, None] = {}
+    for a in args:
+        if isinstance(a, App):
+            size += a.size
+            depth = max(depth, a.depth)
+            order.update(dict.fromkeys(a.vorder))
+        else:
+            order[a.name] = None
+    vorder = tuple(order)
+    for name, value in (("op", op), ("args", args), ("size", size),
+                        ("depth", depth + 1), ("closed", not vorder),
+                        ("vorder", vorder), ("_str", None)):
+        object.__setattr__(node, name, value)
 
 
 Term = Var | App
@@ -178,8 +207,13 @@ def var_occurrences(t: Term) -> list[str]:
     return out
 
 
+def var_order(t: Term) -> tuple[str, ...]:
+    """Variable names in leftmost first-occurrence order, without repetitions."""
+    return t.vorder if isinstance(t, App) else (t.name,)
+
+
 def vars_of(t: Term) -> frozenset[str]:
-    return frozenset(var_occurrences(t))
+    return frozenset(var_order(t))
 
 
 def is_closed(t: Term) -> bool:
@@ -249,10 +283,7 @@ def canonical_rename(t: Term) -> tuple[Term, dict[str, str]]:
     Returns the renamed term and the bijective renaming used.
     Idempotent on already-canonical terms.
     """
-    order: list[str] = []
-    for name in var_occurrences(t):
-        if name not in order:
-            order.append(name)
+    order = list(var_order(t))
     fresh = canonical_names(len(order))
     if fresh == order:
         return t, {name: name for name in order}

@@ -148,6 +148,15 @@ class Tss:
             )
         return self._memo[key]
 
+    def defining_shapes(self, op: str) -> tuple[GsosShape, ...]:
+        """The GSOS shapes of `defining_rules(op)`, in the same order."""
+        key = ("defining-shapes", op)
+        if key not in self._memo:
+            self._memo[key] = tuple(
+                self.shape(r) for r in self.defining_rules(op)
+            )
+        return self._memo[key]
+
     def shape(self, rule: Rule) -> GsosShape:
         key = ("shape", rule)
         if key not in self._memo:

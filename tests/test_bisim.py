@@ -191,6 +191,26 @@ def test_closed_term_coincidence(corpus_tsss):
                 assert not other.holds, (str(p), str(q), checker.__name__)
 
 
+def test_inconclusive_names_the_bound_that_fired():
+    item3 = parse('tss T { labels: a; op c0/0; op g0/1; '
+                  'rule "r0": |- c0 -a-> g0(c0); '
+                  'rule "r2": |- g0(x0) -a-> g0(g0(x0)); '
+                  'rule "r3": x0 -a-> y0 |- g0(x0) -a-> y0; }').tss("T")
+    c0 = App("c0")
+    v = fh_bisim(c0, c0, item3, Bounds(pair_cap=50))
+    assert v.reason == "pair cap 50 reached without closure"
+    # derivatives outgrow the size cap after 277 nodes, below the pair cap
+    v = fh_bisim(c0, c0, item3, Bounds(pair_cap=300))
+    assert v.inconclusive
+    assert v.reason == "size cap 24 reached without closure"
+    wide = parse('tss W { labels: a; op c/0; op f/5; rule "f": '
+                 'x1 -a-> y1, x2 -a-> y2, x3 -a-> y3, x4 -a-> y4, '
+                 'x5 -a-> y5 |- f(x1, x2, x3, x4, x5) -a-> c; }').tss("W")
+    f = App("f", tuple(Var("x%d" % i) for i in range(1, 6)))
+    v = hp_bisim(f, f, wide)
+    assert v.reason == "hypothesis cap 4 reached without closure"
+
+
 def test_verdicts_are_alpha_invariant(corpus_tsss):
     ccs = corpus_tsss["Ccs"]
     for notion in ("ci", "fh", "hp", "pfh", "php"):

@@ -119,9 +119,17 @@ def test_env_bounds_override(capsys, monkeypatch):
 
 def test_env_bounds_invalid_entry(capsys, monkeypatch):
     monkeypatch.setenv("OPENSOS_BOUNDS", "bogus=3")
-    code, _, _ = run(capsys, "check", "ci", "x", "x", "--spec", EX1,
-                     "--tss", "Ccs")
+    code, _, err = run(capsys, "check", "ci", "x", "x", "--spec", EX1,
+                       "--tss", "Ccs")
     assert code == 2
+    assert err == "error: invalid OPENSOS_BOUNDS entry 'bogus=3'\n"
+
+
+def test_nonpositive_bound_is_an_input_error(capsys):
+    code, _, err = run(capsys, "check", "ci", "x", "x", "--spec", EX1,
+                       "--tss", "Ccs", "--term-size", "0")
+    assert code == 2
+    assert err == "error: bounds must be positive\n"
 
 
 def test_corpus_runner_passes_shipped_fixtures(capsys):

@@ -1,4 +1,8 @@
+import copy
+import gc
+import pickle
 import random
+import sys
 
 import pytest
 
@@ -17,7 +21,8 @@ from opensos import (
     term_size,
     vars_of,
 )
-from opensos.terms import check_term, compose_subst, is_closing_for
+from opensos import terms
+from opensos.terms import check_term, compose_subst, is_closing_for, var_order
 
 from gen import random_term
 
@@ -129,3 +134,64 @@ def test_equation_properness():
     assert Equation(App("zero"), App("zero")).is_proper
     assert not Equation(Var("x"), App("zero")).is_proper
     assert not Equation(App("zero"), Var("x")).is_proper
+
+
+def test_equal_construction_returns_the_same_node():
+    a = App("plus", (Var("x"), App("pre_a", (App("zero"),))))
+    b = App("plus", (Var("x"), App("pre_a", (App("zero"),))))
+    assert a is b
+    assert a == b and hash(a) == hash(b)
+    assert a is not App("plus", (Var("y"), App("pre_a", (App("zero"),))))
+
+
+def test_intern_table_drains_when_terms_die():
+    gc.collect()
+    before = len(terms._interned)
+    live = [App("probe", (App("zero"),) * k) for k in range(500)]
+    assert len(terms._interned) >= before + 500
+    del live
+    gc.collect()
+    assert len(terms._interned) <= before
+    assert ("probe", (App("zero"),) * 3) not in terms._interned
+
+
+def test_terms_deeper_than_the_recursion_limit():
+    n = 3 * sys.getrecursionlimit()
+
+    def chain():
+        t = App("zero")
+        for _ in range(n):
+            t = App("pre_a", (t,))
+        return t
+
+    t = chain()
+    assert chain() is t
+    assert hash(t) == hash(chain())
+    assert t.depth == n + 1 and term_size(t) == n + 1
+    assert str(t) == "pre_a(" * n + "zero" + ")" * n
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    t = App("plus", (Var("x"), App("pre_a", (App("zero"),))))
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_app_is_immutable():
+    t = App("pre_a", (App("zero"),))
+    with pytest.raises(AttributeError):
+        t.op = "zero"
+    with pytest.raises(AttributeError):
+        t.size = 7
+    with pytest.raises(AttributeError):
+        del t.args
+
+
+def test_variable_order_is_first_occurrence():
+    t = App("plus", (App("plus", (Var("q"), Var("p"))),
+                     App("plus", (Var("r"), Var("q")))))
+    assert var_order(t) == ("q", "p", "r")
+    assert var_order(Var("x")) == ("x",)
+    assert var_order(App("zero")) == ()
+    assert vars_of(t) == frozenset("pqr")
