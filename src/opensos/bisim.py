@@ -1,10 +1,17 @@
 """Equivalence checkers: strong, ci-, fh-, hp-bisimilarity and proper variants.
 
 Every checker returns a three-valued Verdict: Holds with a certificate,
-Fails with a replayable witness, or InconclusiveAtBound.  fh/hp work at the
-most-general-ruloid level; hypothesis-target merging is covered explicitly
-(merged pair variants for fh, alignment maps for hp), so Holds is sound and
-Fails always bottoms out in a concretely unmatched ruloid.
+Fails with a replayable witness, or InconclusiveAtBound.  Identical terms
+hold at once under every notion, certified by the identity relation.
+
+fh and hp are one game over states (s, t, gamma): two open terms and the
+hypotheses accumulated on their variables, which fh leaves empty.  They
+share one normal form (`_norm_state`), one budget policy
+(`_Game.challenges`) and one solver; a notion only says how a defender
+ruloid may answer an attacker's.  Both work at the most-general-ruloid
+level, and hypothesis-target merging is covered explicitly (merged pair
+variants for fh, alignment maps for hp), so Holds is sound and Fails always
+bottoms out in a concretely unmatched ruloid.
 """
 from __future__ import annotations
 
@@ -76,6 +83,12 @@ class Bounds:
     depth: int = 12
     state_cap: int = 10_000
     pair_cap: int = 5_000
+
+
+def _identity() -> Verdict:
+    """The verdict on identical terms: the identity relation is a
+    bisimulation for every notion here."""
+    return Verdict(HOLDS, "identical terms", certificate={"relation": "identity"})
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +196,8 @@ def strong_bisim(p: Term, q: Term, tss: Tss,
                  bounds: Bounds = Bounds()) -> Verdict:
     """Exact when both reachable LTSs close within the state cap; otherwise
     stratified up to `depth`, where only Fails is definitive."""
+    if p == q:
+        return _identity()
     lp = explore(p, tss, bounds.state_cap)
     lq = explore(q, tss, bounds.state_cap)
     if lp.complete and lq.complete:
@@ -217,6 +232,8 @@ def ci_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
     Fails is definitive.  For open terms a clean sweep is reported as
     "no counterexample up to bound", never as a definitive Holds.
     """
+    if s == t:
+        return _identity()
     names = sorted(vars_of(s) | vars_of(t))
     if not names:
         return strong_bisim(s, t, tss, bounds)
@@ -250,22 +267,60 @@ def ci_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
 # fh / hp games
 
 
+EMPTY: frozenset[Hyp] = frozenset()
+
+
 def _is_proper_pair(s: Term, t: Term) -> bool:
     if isinstance(s, Var) or isinstance(t, Var):
         return isinstance(s, Var) and isinstance(t, Var) and s.name == t.name
     return True
 
 
-def _canon_pair(s: Term, t: Term) -> tuple[Term, Term]:
+def _rename(names: dict[str, str], t: Term) -> Term:
+    return apply_subst({x: Var(y) for x, y in names.items()}, t)
+
+
+def _canon_state(s: Term, t: Term, gamma: frozenset[Hyp]
+                 ) -> tuple[Term, Term, frozenset[Hyp]]:
     order = list(dict.fromkeys(var_order(s) + var_order(t)))
-    ren = {x: Var(y) for x, y in zip(order, canonical_names(len(order)))}
-    return apply_subst(ren, s), apply_subst(ren, t)
+    known = {x: i for i, x in enumerate(order)}
+    big = 1 << 30
+
+    def hyp_key(h: Hyp):
+        return (min(known.get(h.source, big), known.get(h.target, big)),
+                known.get(h.source, big), h.label,
+                known.get(h.target, big), h.source, h.target)
+
+    for h in sorted(gamma, key=hyp_key):
+        for name in (h.source, h.target):
+            if name not in order:
+                order.append(name)
+    names = canonical_names(len(order))
+    if names == order:
+        return s, t, gamma
+    ren = dict(zip(order, names))
+    new_gamma = frozenset(
+        Hyp(ren[h.source], h.label, ren[h.target]) for h in gamma
+    )
+    return _rename(ren, s), _rename(ren, t), new_gamma
 
 
-def _norm_pair(s: Term, t: Term) -> tuple[Term, Term]:
-    a = _canon_pair(s, t)
-    b = _canon_pair(t, s)
-    return min(a, b, key=lambda pr: (str(pr[0]), str(pr[1])))
+def _state_key_str(state) -> tuple[str, str, tuple[str, ...]]:
+    s, t, gamma = state
+    return (str(s), str(t),
+            tuple(sorted(str(h) for h in gamma)))
+
+
+def _norm_state(s: Term, t: Term, gamma: frozenset[Hyp]):
+    """The canonical form of a state, the same for (s, t) and (t, s)."""
+    a = _canon_state(s, t, gamma)
+    b = _canon_state(t, s, gamma)
+    return min(a, b, key=_state_key_str)
+
+
+def _gc(s: Term, t: Term, gamma: frozenset[Hyp]) -> frozenset[Hyp]:
+    live = vars_of(s) | vars_of(t)
+    return frozenset(h for h in gamma if h.source in live or h.target in live)
 
 
 def _partitions(items: list[str]):
@@ -289,18 +344,13 @@ def _partitions(items: list[str]):
             yield out
 
 
-def _merge_variants(s: Term, t: Term) -> list[tuple[Term, Term]]:
+def _merge_variants(s: Term, t: Term) -> list:
     names = sorted(vars_of(s) | vars_of(t))
-    out = []
-    for part in _partitions(names):
-        if all(x == rep for x, rep in part.items()):
-            continue
-        sigma = {x: Var(rep) for x, rep in part.items()}
-        out.append(_norm_pair(apply_subst(sigma, s), apply_subst(sigma, t)))
-    uniq: dict[tuple[Term, Term], None] = {}
-    for pr in out:
-        uniq.setdefault(pr, None)
-    return sorted(uniq, key=lambda pr: (str(pr[0]), str(pr[1])))
+    variants = dict.fromkeys(
+        _norm_state(_rename(part, s), _rename(part, t), EMPTY)
+        for part in _partitions(names)
+        if any(x != rep for x, rep in part.items()))
+    return sorted(variants, key=_state_key_str)
 
 
 def _group_hyps(hyps) -> dict[tuple[str, str], list[Hyp]]:
@@ -310,18 +360,53 @@ def _group_hyps(hyps) -> dict[tuple[str, str], list[Hyp]]:
     return groups
 
 
-def _bijective_alignments(cand: Ruloid, want: Ruloid):
-    """Maps from cand's hypothesis targets onto want's, source/label fixed."""
-    gc = _group_hyps(cand.hyps)
-    gw = _group_hyps(want.hyps)
-    if set(gc) != set(gw) or any(len(gc[k]) != len(gw[k]) for k in gc):
-        return
-    keys = sorted(gc)
-    per_group = [
-        [list(zip((h.target for h in gc[k]), (h.target for h in perm)))
-         for perm in itertools.permutations(gw[k])]
-        for k in keys
-    ]
+def _merge_maps(r: Ruloid, gamma: frozenset[Hyp]):
+    """Alignment maps for an attacker ruloid's fresh hypothesis targets.
+
+    Each target may stay fresh, merge with an earlier same-shaped fresh
+    target, or align with the target of a same-shaped hypothesis in gamma.
+    """
+    hyps = r.hyps_sorted()
+    choice_lists = []
+    for i, h in enumerate(hyps):
+        choices = [h.target]
+        for prev in hyps[:i]:
+            if (prev.source, prev.label) == (h.source, h.label):
+                choices.append(prev.target)
+        for g in sorted(gamma, key=str):
+            if (g.source, g.label) == (h.source, h.label) and g.target != h.source:
+                choices.append(g.target)
+        choice_lists.append(choices)
+    seen = set()
+    for combo in itertools.product(*choice_lists):
+        mapping = {h.target: tgt for h, tgt in zip(hyps, combo)}
+        # resolve chains from merging onto earlier fresh targets
+        def resolve(x: str) -> str:
+            while mapping.get(x, x) != x:
+                x = mapping[x]
+            return x
+        flat = tuple(sorted((k, resolve(k)) for k in mapping))
+        if flat in seen:
+            continue
+        seen.add(flat)
+        yield {k: resolve(k) for k in mapping}
+
+
+def _embeddings(cand: Ruloid, gamma):
+    """Injective maps of cand's hypotheses onto same-shaped gamma hypotheses."""
+    groups = _group_hyps(gamma)
+    cand_groups = _group_hyps(cand.hyps)
+    keys = sorted(cand_groups)
+    per_group = []
+    for k in keys:
+        pool = groups.get(k, [])
+        need = cand_groups[k]
+        if len(pool) < len(need):
+            return
+        per_group.append([
+            list(zip((h.target for h in need), (g.target for g in pick)))
+            for pick in itertools.permutations(pool, len(need))
+        ])
     for combo in itertools.product(*per_group):
         mapping: dict[str, str] = {}
         for pairs in combo:
@@ -332,8 +417,7 @@ def _bijective_alignments(cand: Ruloid, want: Ruloid):
 
 @dataclass
 class _Node:
-    key: object
-    obligations: list  # of (description dict, [successor keys])
+    obligations: list  # of (description dict, [successor states])
     improper: bool
 
 
@@ -342,7 +426,8 @@ class _Game:
 
     A node is bad when some obligation has only bad options (an obligation
     with no options at all is an unmatched ruloid).  Bad is a least fixpoint,
-    so Fails verdicts are definitive even under the pair cap.
+    so Fails verdicts are definitive even under the pair cap.  Each notion
+    supplies `node_for`, `describe` and `certificate`.
     """
 
     SIZE_CAP = 24  # per-side operator-node budget for explored derivatives
@@ -356,11 +441,12 @@ class _Game:
         # the bounds that fired: "pair", "size" and/or "hypothesis"
         self.capped: set[str] = set()
 
-    def node_for(self, key):
-        raise NotImplementedError
-
     def key_size(self, key) -> int:
-        return max(term_size(key[0]), term_size(key[1]))
+        s, t, gamma = key
+        # merge-map and embedding enumeration is combinatorial in the
+        # accumulated hypotheses, so a growing gamma counts against the
+        # budget much faster than growing terms do
+        return max(term_size(s), term_size(t), 6 * len(gamma))
 
     def ruloid_oversized(self, r: Ruloid) -> str | None:
         """The bound a ruloid exceeds, if any."""
@@ -370,7 +456,32 @@ class _Game:
             return "hypothesis"
         return None
 
-    def run(self, root_key) -> Verdict:
+    def challenges(self, s: Term, t: Term):
+        """(attacker side, defender side, ruloid, same-label responses), one
+        per obligation that can be posed within the budget.
+
+        An oversized attacker ruloid is dropped: that blocks Holds (capped)
+        without forcing Fails.  An oversized response makes the obligation
+        count as met at this bound, never as refuted.
+        """
+        for a, b in ((s, t), (t, s)):
+            for r in ruloids(a, self.tss):
+                cap = self.ruloid_oversized(r)
+                if cap:
+                    self.capped.add(cap)
+                    continue
+                responses = [r2 for r2 in ruloids(b, self.tss)
+                             if r2.label == r.label]
+                caps = {self.ruloid_oversized(r2) for r2 in responses} - {None}
+                if caps:
+                    self.capped |= caps
+                else:
+                    yield a, b, r, responses
+
+    def run(self, s: Term, t: Term) -> Verdict:
+        if s == t:
+            return _identity()
+        root_key = _norm_state(s, t, EMPTY)
         frontier = [root_key]
         queued = {root_key}
         while frontier:
@@ -415,11 +526,12 @@ class _Game:
                         changed = True
                         break
         if root_key in bad:
-            return Verdict(FAILS, self.fail_reason(),
+            return Verdict(FAILS, "unmatched ruloid",
                            witness=self._witness(root_key, bad))
         if not self.capped:
             good = [k for k in self.nodes if k not in bad]
-            return Verdict(HOLDS, self.hold_reason(), certificate=self.certificate(good))
+            return Verdict(HOLDS, "relation closed",
+                           certificate=self.certificate(good))
         caps = {"pair": "pair cap %d" % self.pair_cap,
                 "size": "size cap %d" % self.SIZE_CAP,
                 "hypothesis": "hypothesis cap %d" % self.HYP_CAP}
@@ -439,231 +551,75 @@ class _Game:
             if not live:  # no options at all: the unmatched ruloid
                 step["unmatched"] = True
                 break
-            key = min(live, key=str)
+            key = min(live, key=_state_key_str)
         return {"trace": trace}
-
-    def describe(self, key):
-        raise NotImplementedError
-
-    def certificate(self, good_keys):
-        raise NotImplementedError
-
-    def fail_reason(self) -> str:
-        return "unmatched ruloid"
-
-    def hold_reason(self) -> str:
-        return "relation closed"
 
 
 class _FhGame(_Game):
+    """Hypotheses match one to one, up to renaming their targets; the
+    relation must also contain every variable-merging variant of a pair."""
+
     def node_for(self, key) -> _Node:
-        s, t = key
+        s, t, _ = key
         obligations = []
-        for a, b in ((s, t), (t, s)):
-            for r in ruloids(a, self.tss):
-                cap = self.ruloid_oversized(r)
-                if cap:
-                    # the obligation cannot even be posed within the budget;
-                    # dropping it blocks Holds (capped) without forcing Fails
-                    self.capped.add(cap)
-                    continue
-                options = []
-                oversized = set()
-                for r2 in ruloids(b, self.tss):
-                    if r2.label != r.label:
-                        continue
-                    cap = self.ruloid_oversized(r2)
-                    if cap:
-                        oversized.add(cap)
-                        continue
-                    for mapping in _bijective_alignments(r2, r):
-                        t2 = apply_subst({x: Var(y) for x, y in mapping.items()},
-                                         r2.target)
-                        options.append(_norm_pair(r.target, t2))
-                if oversized:
-                    # some response was beyond the budget: treat the
-                    # obligation as met at this bound, never as refuted
-                    self.capped |= oversized
-                    continue
-                desc = {"from": [str(a), str(b)], "ruloid": str(r)}
-                obligations.append((desc, sorted(set(options), key=str)))
-        # the relation must also contain every variable-merging variant
+        for a, b, r, responses in self.challenges(s, t):
+            options = {
+                _norm_state(r.target, _rename(emb, r2.target), EMPTY)
+                for r2 in responses if len(r2.hyps) == len(r.hyps)
+                for emb in _embeddings(r2, r.hyps)
+            }
+            desc = {"from": [str(a), str(b)], "ruloid": str(r)}
+            obligations.append((desc, sorted(options, key=_state_key_str)))
         for variant in _merge_variants(s, t):
             obligations.append(
                 ({"from": [str(s), str(t)],
                   "merged-variant": [str(variant[0]), str(variant[1])]},
                  [variant])
             )
-        return _Node(key, obligations, not _is_proper_pair(s, t))
+        return _Node(obligations, not _is_proper_pair(s, t))
 
     def describe(self, key):
         return [str(key[0]), str(key[1])]
 
     def certificate(self, good_keys):
         return {
-            "pairs": sorted([str(s), str(t)] for (s, t) in good_keys),
+            "pairs": sorted([str(s), str(t)] for (s, t, _) in good_keys),
             "discipline": "most-general ruloids with merged-variable variants",
         }
 
 
 def fh_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds(),
              proper: bool = False) -> Verdict:
-    game = _FhGame(tss, bounds.pair_cap, proper)
-    return game.run(_norm_pair(s, t))
-
-
-# --- hp ---
-
-
-def _canon_state(s: Term, t: Term, gamma: frozenset[Hyp]
-                 ) -> tuple[Term, Term, frozenset[Hyp]]:
-    order = list(dict.fromkeys(var_order(s) + var_order(t)))
-    known = {x: i for i, x in enumerate(order)}
-    big = 1 << 30
-
-    def hyp_key(h: Hyp):
-        return (min(known.get(h.source, big), known.get(h.target, big)),
-                known.get(h.source, big), h.label,
-                known.get(h.target, big), h.source, h.target)
-
-    for h in sorted(gamma, key=hyp_key):
-        for name in (h.source, h.target):
-            if name not in order:
-                order.append(name)
-    ren = dict(zip(order, canonical_names(len(order))))
-    sub = {x: Var(y) for x, y in ren.items()}
-    new_gamma = frozenset(
-        Hyp(ren[h.source], h.label, ren[h.target]) for h in gamma
-    )
-    return apply_subst(sub, s), apply_subst(sub, t), new_gamma
-
-
-def _state_key_str(state) -> tuple[str, str, tuple[str, ...]]:
-    s, t, gamma = state
-    return (str(s), str(t),
-            tuple(sorted(str(h) for h in gamma)))
-
-
-def _norm_state(s: Term, t: Term, gamma: frozenset[Hyp]):
-    a = _canon_state(s, t, gamma)
-    b = _canon_state(t, s, gamma)
-    return min(a, b, key=_state_key_str)
-
-
-def _gc(s: Term, t: Term, gamma: frozenset[Hyp]) -> frozenset[Hyp]:
-    live = vars_of(s) | vars_of(t)
-    return frozenset(h for h in gamma if h.source in live or h.target in live)
-
-
-def _merge_maps(r: Ruloid, gamma: frozenset[Hyp]):
-    """Alignment maps for an attacker ruloid's fresh hypothesis targets.
-
-    Each target may stay fresh, merge with an earlier same-shaped fresh
-    target, or align with the target of a same-shaped hypothesis in gamma.
-    """
-    hyps = r.hyps_sorted()
-    choice_lists = []
-    for i, h in enumerate(hyps):
-        choices = [h.target]
-        for prev in hyps[:i]:
-            if (prev.source, prev.label) == (h.source, h.label):
-                choices.append(prev.target)
-        for g in sorted(gamma, key=str):
-            if (g.source, g.label) == (h.source, h.label) and g.target != h.source:
-                choices.append(g.target)
-        choice_lists.append(choices)
-    seen = set()
-    for combo in itertools.product(*choice_lists):
-        mapping = {h.target: tgt for h, tgt in zip(hyps, combo)}
-        # resolve chains from merging onto earlier fresh targets
-        def resolve(x: str) -> str:
-            while mapping.get(x, x) != x:
-                x = mapping[x]
-            return x
-        flat = tuple(sorted((k, resolve(k)) for k in mapping))
-        if flat in seen:
-            continue
-        seen.add(flat)
-        yield {k: resolve(k) for k in mapping}
-
-
-def _embeddings(cand: Ruloid, gamma: frozenset[Hyp]):
-    """Injective maps of cand's hypotheses onto same-shaped gamma hypotheses."""
-    groups = _group_hyps(gamma)
-    cand_groups = _group_hyps(cand.hyps)
-    keys = sorted(cand_groups)
-    per_group = []
-    for k in keys:
-        pool = groups.get(k, [])
-        need = cand_groups[k]
-        if len(pool) < len(need):
-            return
-        per_group.append([
-            list(zip((h.target for h in need), (g.target for g in pick)))
-            for pick in itertools.permutations(pool, len(need))
-        ])
-    for combo in itertools.product(*per_group):
-        mapping: dict[str, str] = {}
-        for pairs in combo:
-            for a, b in pairs:
-                mapping[a] = b
-        yield mapping
+    return _FhGame(tss, bounds.pair_cap, proper).run(s, t)
 
 
 class _HpGame(_Game):
-    def key_size(self, key) -> int:
-        s, t, gamma = key
-        # merge-map and embedding enumeration is combinatorial in the
-        # accumulated hypotheses, so a growing gamma counts against the
-        # budget much faster than growing terms do
-        return max(term_size(s), term_size(t), 6 * len(gamma))
+    """The attacker's fresh hypotheses are aligned into gamma first; the
+    defender's must then embed into the accumulated hypotheses."""
 
     def node_for(self, key) -> _Node:
         s, t, gamma = key
         obligations = []
-        for a, b, flip in ((s, t, False), (t, s, True)):
-            for r in ruloids(a, self.tss):
-                cap = self.ruloid_oversized(r)
-                if cap:
-                    self.capped.add(cap)
-                    continue
-                for mu in _merge_maps(r, gamma):
-                    sub = {x: Var(y) for x, y in mu.items()}
-                    merged = frozenset(
-                        Hyp(h.source, h.label, mu[h.target]) for h in r.hyps
-                    )
-                    gamma2 = merged | gamma
-                    a2 = apply_subst(sub, r.target)
-                    options = []
-                    oversized = set()
-                    for r2 in ruloids(b, self.tss):
-                        if r2.label != r.label:
-                            continue
-                        cap = self.ruloid_oversized(r2)
-                        if cap:
-                            oversized.add(cap)
-                            continue
-                        for emb in _embeddings(r2, gamma2):
-                            b2 = apply_subst(
-                                {x: Var(y) for x, y in emb.items()}, r2.target
-                            )
-                            left, right = (b2, a2) if flip else (a2, b2)
-                            options.append(_norm_state(
-                                left, right, _gc(left, right, gamma2)
-                            ))
-                    if oversized:
-                        self.capped |= oversized
-                        continue
-                    desc = {
-                        "from": [str(a), str(b)],
-                        "ruloid": str(r),
-                        "aligned-gamma": sorted(str(h) for h in merged),
-                        "accumulated": sorted(str(h) for h in gamma2),
-                    }
-                    obligations.append(
-                        (desc, sorted(set(options), key=_state_key_str))
-                    )
-        return _Node(key, obligations, not _is_proper_pair(s, t))
+        for a, b, r, responses in self.challenges(s, t):
+            for mu in _merge_maps(r, gamma):
+                merged = frozenset(
+                    Hyp(h.source, h.label, mu[h.target]) for h in r.hyps
+                )
+                gamma2 = merged | gamma
+                a2 = _rename(mu, r.target)
+                options = set()
+                for r2 in responses:
+                    for emb in _embeddings(r2, gamma2):
+                        b2 = _rename(emb, r2.target)
+                        options.add(_norm_state(a2, b2, _gc(a2, b2, gamma2)))
+                desc = {
+                    "from": [str(a), str(b)],
+                    "ruloid": str(r),
+                    "aligned-gamma": sorted(str(h) for h in merged),
+                    "accumulated": sorted(str(h) for h in gamma2),
+                }
+                obligations.append((desc, sorted(options, key=_state_key_str)))
+        return _Node(obligations, not _is_proper_pair(s, t))
 
     def describe(self, key):
         s, t, gamma = key
@@ -681,8 +637,7 @@ class _HpGame(_Game):
 
 def hp_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds(),
              proper: bool = False) -> Verdict:
-    game = _HpGame(tss, bounds.pair_cap, proper)
-    return game.run(_norm_state(s, t, frozenset()))
+    return _HpGame(tss, bounds.pair_cap, proper).run(s, t)
 
 
 def pfh_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:

@@ -287,9 +287,12 @@ def cmd_advise(args) -> int:
                                             bounds)
     lines = []
     for a in report.axioms:
+        note = " via %s" % a.theorem if a.theorem else ""
+        if a.classification == equations.BROKEN and a.soundness_on_base.fails:
+            # an axiom unsound on the base is not broken by the extension
+            note = " (fails on the base already)"
         lines.append("%s: %s%s" % (
-            a.equation.name or str(a.equation), a.classification,
-            " via %s" % a.theorem if a.theorem else ""))
+            a.equation.name or str(a.equation), a.classification, note))
     _emit(report.to_json(), args.json, lines)
     return FAIL if any(a.classification == equations.BROKEN
                        for a in report.axioms) else OK

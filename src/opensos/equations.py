@@ -42,10 +42,6 @@ class EquationalTheory:
     axioms: tuple[Equation, ...]
     over: Tss
 
-    @property
-    def is_proper(self) -> bool:
-        return all(eq.is_proper for eq in self.axioms)
-
 
 # ---------------------------------------------------------------------------
 # bounded proof search in the equational closure
@@ -93,21 +89,24 @@ def _instantiation_pool(t: Term, theory: EquationalTheory,
 
 
 def _rewrites(t: Term, theory: EquationalTheory, inst_size: int):
+    """One-step rewrites of t: (result, axiom, direction, position)."""
     for eq in theory.axioms:
-        for frm, to in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
+        for frm, to, direction in ((eq.lhs, eq.rhs, "lr"), (eq.rhs, eq.lhs, "rl")):
             for pos, sub in _subterm_positions(t):
                 binding: dict[str, Term] = {}
                 if not _match(frm, sub, binding):
                     continue
                 free = sorted(vars_of(to) - set(binding))
                 if not free:
-                    yield _replace(t, pos, apply_subst(binding, to)), eq, pos
+                    yield (_replace(t, pos, apply_subst(binding, to)), eq,
+                           direction, pos)
                     continue
                 pool = _instantiation_pool(t, theory, inst_size)
                 for images in itertools.product(pool, repeat=len(free)):
                     b2 = dict(binding)
                     b2.update(zip(free, images))
-                    yield _replace(t, pos, apply_subst(b2, to)), eq, pos
+                    yield (_replace(t, pos, apply_subst(b2, to)), eq,
+                           direction, pos)
 
 
 @dataclass
@@ -117,58 +116,63 @@ class ProofResult:
     reason: str = ""
 
 
+_REVERSED = {"lr": "rl", "rl": "lr"}
+
+
 def prove(theory: EquationalTheory, goal: Equation, depth: int = 6,
           inst_size: int = 3) -> ProofResult:
     """Bidirectional bounded rewrite search in the equational closure.
 
     Proved returns the derivation as a chain of rewrite steps from lhs to
-    rhs; otherwise UnknownAtBound (the proof system is not complete).
+    rhs.  Step i rewrites the term of step i - 1 (goal.lhs for the first)
+    into its `term` by instantiating `axiom` at `position` (argument
+    indices from the root): `direction` "lr" replaces an instance of the
+    axiom's lhs by its rhs, "rl" the converse.  The last term is goal.rhs.
+    Otherwise UnknownAtBound (the proof system is not complete).
     """
     if goal.lhs == goal.rhs:
         return ProofResult(True, [], "reflexivity")
-    # parent maps: term -> (origin side, previous term, axiom, position)
-    seen = {
-        goal.lhs: ("lhs", None, None, None),
-        goal.rhs: ("rhs", None, None, None),
+    # term -> (origin side, previous term, axiom, direction, position)
+    seen: dict = {
+        goal.lhs: ("lhs", None, None, None, None),
+        goal.rhs: ("rhs", None, None, None, None),
     }
-    frontiers = {"lhs": [goal.lhs], "rhs": [goal.rhs]}
 
-    def chain(term: Term) -> list[tuple[Term, Equation | None]]:
-        out = []
-        while term is not None:
-            _, prev, eq, _ = seen[term]
-            out.append((term, eq))
+    def path(term: Term) -> list[tuple]:
+        """The rewrites from term's origin to term, in search order."""
+        edges = []
+        while seen[term][1] is not None:
+            _, prev, eq, direction, pos = seen[term]
+            edges.append((prev, term, eq, direction, pos))
             term = prev
-        return out
+        return edges[::-1]
 
-    def build(meet: Term) -> list[dict]:
-        left = chain(meet)  # meet back to one side
-        side = seen[left[-1][0]][0]
-        steps = []
-        seq = list(reversed(left))
-        for (term, _), (_, eq) in zip(seq, seq[1:]):
-            steps.append({"term": str(term), "axiom": eq.name or str(eq)})
-        steps.append({"term": str(meet), "axiom": None})
-        if side == "rhs":
-            steps.reverse()
-        return steps
+    def step(term: Term, eq: Equation, direction: str, pos) -> dict:
+        return {"term": str(term), "axiom": eq.name or str(eq),
+                "direction": direction, "position": list(pos)}
 
+    frontiers = {"lhs": [goal.lhs], "rhs": [goal.rhs]}
     for _ in range(depth):
         side = min(frontiers, key=lambda k: len(frontiers[k]))
         if not frontiers[side]:
             side = max(frontiers, key=lambda k: len(frontiers[k]))
         nxt = []
         for term in frontiers[side]:
-            for new, eq, pos in _rewrites(term, theory, inst_size):
+            for new, eq, direction, pos in _rewrites(term, theory, inst_size):
                 if new in seen:
                     if seen[new][0] != side:
-                        seen_meet = new
-                        # record the step reaching the meet for the trace
-                        trace = [{"from": str(goal.lhs), "to": str(goal.rhs),
-                                  "meet": str(seen_meet)}]
-                        return ProofResult(True, trace, "meet-in-the-middle")
+                        meet = (term, new, eq, direction, pos)
+                        if side == "lhs":
+                            left, right = path(term) + [meet], path(new)
+                        else:
+                            left, right = path(new), path(term) + [meet]
+                        # the rhs half runs backwards: undo each of its steps
+                        steps = [step(b, ax, d, p) for (_, b, ax, d, p) in left]
+                        steps += [step(a, ax, _REVERSED[d], p)
+                                  for (a, _, ax, d, p) in reversed(right)]
+                        return ProofResult(True, steps, "meet-in-the-middle")
                     continue
-                seen[new] = (side, term, eq, pos)
+                seen[new] = (side, term, eq, direction, pos)
                 nxt.append(new)
         frontiers[side] = nxt
         if not frontiers["lhs"] and not frontiers["rhs"]:

@@ -253,18 +253,6 @@ def apply_subst(sigma: Subst, t: Term) -> Term:
     return go(t)
 
 
-def compose_subst(outer: Subst, inner: Subst) -> dict[str, Term]:
-    """apply(compose(outer, inner), t) == apply(outer, apply(inner, t))."""
-    out = {x: apply_subst(outer, s) for x, s in inner.items()}
-    for x, s in outer.items():
-        out.setdefault(x, s)
-    return out
-
-
-def is_closing_for(sigma: Subst, t: Term) -> bool:
-    return is_closed(apply_subst(sigma, t))
-
-
 def canonical_names(n: int, avoid: frozenset[str] = frozenset(),
                     prefix: str = "v") -> list[str]:
     names: list[str] = []

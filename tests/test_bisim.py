@@ -1,13 +1,16 @@
 import itertools
 
 from opensos import (
+    NOTIONS,
     App,
     Bounds,
+    Hyp,
     Var,
     apply_subst,
     check,
     ci_bisim,
     enumerate_closed_terms,
+    enumerate_open_terms,
     fh_bisim,
     hp_bisim,
     parse,
@@ -16,6 +19,7 @@ from opensos import (
     php_bisim,
     strong_bisim,
 )
+from opensos.bisim import _norm_state
 
 SMALL = Bounds(term_size=2, depth=8, state_cap=200, pair_cap=500)
 
@@ -55,12 +59,14 @@ def test_strong_bounded_fallback_on_infinite_state_spaces():
     doc = parse('tss T { labels: a, b; op c/0; op d/0; op s/1; '
                 'rule "c": |- c -a-> s(c); '
                 'rule "d": |- d -b-> s(d); '
+                'op e/0; rule "e": |- e -a-> s(c); '
                 'rule "s": x -a-> x2 |- s(x) -a-> s(x2); }')
     t = doc.tss("T")
     small = Bounds(depth=6, state_cap=4)
     v = strong_bisim(App("c"), App("d"), t, small)
     assert v.fails  # initial labels differ even under the cap
-    v2 = strong_bisim(App("c"), App("c"), t, small)
+    # c and e are bisimilar, but neither LTS closes within the cap
+    v2 = strong_bisim(App("c"), App("e"), t, small)
     assert v2.inconclusive
 
 
@@ -196,19 +202,36 @@ def test_inconclusive_names_the_bound_that_fired():
                   'rule "r0": |- c0 -a-> g0(c0); '
                   'rule "r2": |- g0(x0) -a-> g0(g0(x0)); '
                   'rule "r3": x0 -a-> y0 |- g0(x0) -a-> y0; }').tss("T")
-    c0 = App("c0")
-    v = fh_bisim(c0, c0, item3, Bounds(pair_cap=50))
+    c0, g0c0 = App("c0"), App("g0", (App("c0"),))
+    v = fh_bisim(c0, g0c0, item3, Bounds(pair_cap=50))
     assert v.reason == "pair cap 50 reached without closure"
-    # derivatives outgrow the size cap after 277 nodes, below the pair cap
-    v = fh_bisim(c0, c0, item3, Bounds(pair_cap=300))
+    # derivatives outgrow the size cap below the pair cap
+    v = fh_bisim(c0, g0c0, item3, Bounds(pair_cap=300))
     assert v.inconclusive
     assert v.reason == "size cap 24 reached without closure"
     wide = parse('tss W { labels: a; op c/0; op f/5; rule "f": '
                  'x1 -a-> y1, x2 -a-> y2, x3 -a-> y3, x4 -a-> y4, '
                  'x5 -a-> y5 |- f(x1, x2, x3, x4, x5) -a-> c; }').tss("W")
     f = App("f", tuple(Var("x%d" % i) for i in range(1, 6)))
-    v = hp_bisim(f, f, wide)
+    g = App("f", tuple(Var("x%d" % i) for i in (2, 1, 3, 4, 5)))
+    v = hp_bisim(f, g, wide)
     assert v.reason == "hypothesis cap 4 reached without closure"
+
+
+def test_identical_pairs_hold_under_every_notion():
+    item3 = parse('tss T { labels: a; op c0/0; op g0/1; '
+                  'rule "r0": |- c0 -a-> g0(c0); '
+                  'rule "r2": |- g0(x0) -a-> g0(g0(x0)); '
+                  'rule "r3": x0 -a-> y0 |- g0(x0) -a-> y0; }').tss("T")
+    # c0's LTS is infinite, and no game on either term closes at pair cap
+    # 50, so every search here would end inconclusive; strong takes
+    # closed terms only
+    cases = [(n, App("c0")) for n in NOTIONS]
+    cases += [(n, App("g0", (Var("x"),))) for n in NOTIONS if n != "strong"]
+    for notion, term in cases:
+        v = check(notion, term, term, item3, Bounds(pair_cap=50))
+        assert v.holds, (notion, str(term))
+        assert v.certificate == {"relation": "identity"}
 
 
 def test_verdicts_are_alpha_invariant(corpus_tsss):
@@ -227,3 +250,28 @@ def test_verdict_json_shape(corpus_tsss):
     j = v.to_json()
     assert j["verdict"] == "holds"
     assert "certificate" in j
+
+
+def test_one_normal_form_for_game_states(corpus_tsss):
+    ccs = corpus_tsss["Ccs"]
+    terms = list(enumerate_open_terms(ccs.all_signature, 2, ("x", "y")))
+    # a hypothesis between the terms' variables, and one to a fresh target
+    gammas = (frozenset(), frozenset({Hyp("x", "a", "y")}),
+              frozenset({Hyp("x", "a", "y"), Hyp("y", "b", "z")}))
+    cycle = {"x": "y", "y": "z", "z": "x"}
+    ren = {x: Var(y) for x, y in cycle.items()}
+    checked = 0
+    for s, t in itertools.product(terms, repeat=2):
+        for gamma in gammas:
+            norm = _norm_state(s, t, gamma)
+            assert norm == _norm_state(t, s, gamma)
+            renamed = frozenset(Hyp(cycle[h.source], h.label, cycle[h.target])
+                                for h in gamma)
+            assert norm == _norm_state(apply_subst(ren, s),
+                                       apply_subst(ren, t), renamed)
+            again = _norm_state(*norm)
+            assert again == norm
+            # an already-canonical state comes back as the same objects
+            assert all(a is b for a, b in zip(again, norm))
+            checked += 1
+    assert checked > 1000

@@ -109,6 +109,19 @@ def test_advise_exit_reflects_broken_axioms(capsys):
     assert "broken" in out
 
 
+def test_advise_says_when_a_broken_axiom_fails_on_the_base(capsys):
+    code, out, _ = run(capsys, "advise", "--spec",
+                       str(CORPUS / "sec43b.sos"), "--tss", "Res",
+                       "--ext", "Par", "--notion", "fh")
+    assert code == 1
+    assert "fuse: broken (fails on the base already)\n" in out
+    assert "hide: guaranteed-preserved" in out
+    # an axiom the extension breaks carries no such note
+    code, out, _ = run(capsys, "advise", "--spec", EX3, "--tss", "F",
+                       "--ext", "FB", "--notion", "fh", "--term-size", "2")
+    assert out == "forward: broken\n"
+
+
 def test_env_bounds_override(capsys, monkeypatch):
     monkeypatch.setenv("OPENSOS_BOUNDS", "term_size=2,depth=6")
     code, out, _ = run(capsys, "check", "ci", "plus(x, y)", "plus(y, x)",

@@ -55,6 +55,55 @@ def test_prove_associativity_reassociation(corpus_docs):
     assert result.proved
 
 
+def _at(t, pos):
+    for i in pos:
+        t = t.args[i]
+    return t
+
+
+def _instance(pattern, t, binding):
+    """Extend binding so that pattern instantiates to t, if it can."""
+    if isinstance(pattern, Var):
+        return binding.setdefault(pattern.name, t) == t
+    return (isinstance(t, App) and t.op == pattern.op
+            and all(_instance(p, a, binding)
+                    for p, a in zip(pattern.args, t.args)))
+
+
+def _same_outside(before, after, pos):
+    """The two terms differ at most at position pos."""
+    for i in pos:
+        if before.op != after.op or any(
+                x != y for j, (x, y) in enumerate(zip(before.args, after.args))
+                if j != i):
+            return False
+        before, after = before.args[i], after.args[i]
+    return True
+
+
+def test_prove_returns_a_replayable_rewrite_chain(corpus_docs):
+    doc = corpus_docs["ex1"]
+    theory = _theory(doc, "Ccs", "comm", "assoc")
+    t = theory.over
+    goal = Equation(parse_term("plus(plus(x, y), z)", t),
+                    parse_term("plus(z, plus(y, x))", t))
+    result = prove(theory, goal)
+    assert result.proved and result.steps
+    axioms = {eq.name: eq for eq in theory.axioms}
+    term = goal.lhs
+    for step in result.steps:
+        eq = axioms[step["axiom"]]
+        frm, to = {"lr": (eq.lhs, eq.rhs), "rl": (eq.rhs, eq.lhs)}[step["direction"]]
+        nxt = parse_term(step["term"], t)
+        pos = step["position"]
+        binding = {}
+        assert _instance(frm, _at(term, pos), binding), step
+        assert _instance(to, _at(nxt, pos), binding), step
+        assert _same_outside(term, nxt, pos), step
+        term = nxt
+    assert term == goal.rhs
+
+
 def test_prove_unknown_at_bound(corpus_docs):
     doc = corpus_docs["ex1"]
     theory = _theory(doc, "Ccs", "comm")

@@ -22,7 +22,7 @@ from opensos import (
     vars_of,
 )
 from opensos import terms
-from opensos.terms import check_term, compose_subst, is_closing_for, var_order
+from opensos.terms import check_term, var_order
 
 from gen import random_term
 
@@ -61,20 +61,6 @@ def test_linearity_and_closedness():
     assert is_linear(App("plus", (Var("x"), Var("y"))))
     assert not is_closed(t)
     assert is_closed(App("pre_a", (App("zero"),)))
-
-
-def test_substitution_composition_agrees_pointwise():
-    rng = random.Random(7)
-    ops = SIG.as_dict()
-    for _ in range(100):
-        t = random_term(rng, ops, ["x", "y", "z"], rng.randint(0, 3))
-        s1 = {v: random_term(rng, ops, ["x", "y"], rng.randint(0, 2))
-              for v in ("x", "y", "z")}
-        s2 = {v: random_term(rng, ops, [], rng.randint(1, 2))
-              for v in ("x", "y")}
-        lhs = apply_subst(s2, apply_subst(s1, t))
-        rhs = apply_subst(compose_subst(s2, s1), t)
-        assert lhs == rhs
 
 
 def test_substitution_variable_inclusion():
@@ -122,12 +108,6 @@ def test_open_enumeration_covers_variables():
     terms = list(enumerate_open_terms(SIG, 2, ("x", "y")))
     assert Var("x") in terms and Var("y") in terms
     assert App("plus", (Var("x"), Var("y"))) in terms
-
-
-def test_closing_substitution_check():
-    sigma = {"x": App("zero")}
-    assert is_closing_for(sigma, Var("x"))
-    assert not is_closing_for(sigma, App("pre_a", (Var("y"),)))
 
 
 def test_equation_properness():
