@@ -24,6 +24,7 @@ from .terms import (
     apply_subst,
     canonical_names,
     enumerate_closed_terms,
+    is_closed,
     term_size,
     var_order,
     vars_of,
@@ -32,6 +33,7 @@ from .tss import Tss
 from .ruloids import (
     STATE_SIZE_CAP,
     Hyp,
+    Lts,
     Ruloid,
     explore,
     ruloids,
@@ -95,56 +97,113 @@ def _identity() -> Verdict:
 # strong bisimilarity on closed terms
 
 
-def _edges_by_state(lts_edges) -> dict[Term, list[tuple[str, Term]]]:
-    out: dict[Term, list[tuple[str, Term]]] = {}
-    for (p, l, q) in lts_edges:
-        out.setdefault(p, []).append((l, q))
-    for succ in out.values():
-        succ.sort(key=lambda e: (e[0], str(e[1])))
+def _join(lp: Lts, lq: Lts):
+    """The states of two complete LTSs numbered once, p's numbers kept, and
+    every state's edges as (label, number) pairs; also q's root number."""
+    states = list(lp.states)
+    succ = list(lp.succ)
+    number = {s: i for i, s in enumerate(states)}
+    renum = []
+    for s in lq.states:
+        i = number.get(s)
+        if i is None:
+            i = number[s] = len(states)
+            states.append(s)
+            succ.append(None)  # filled below from q's edges
+        renum.append(i)
+    for k, edges in enumerate(lq.succ):
+        i = renum[k]
+        if succ[i] is None:
+            succ[i] = tuple((l, renum[j]) for (l, j) in edges)
+    return states, succ, renum[0]
+
+
+def _refine(succ) -> list[list[int]]:
+    """Naive partition refinement in worklist form: every level k of the
+    partition (the k-step bisimilarity classes, as a block number per
+    state) from level 0 up to the coarsest stable partition.
+
+    Rounds are synchronous, so each level is exactly the k-step partition.
+    A state's signature (its labels and successor blocks) is recomputed only
+    when a successor changed block in the previous round, and a round looks
+    only at those re-signed states: the others in their block still share
+    the block's signature and keep its number.  A block whose members were
+    all re-signed keeps its number for its largest part.
+    """
+    n = len(succ)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for i, out in enumerate(succ):
+        for (_, j) in out:
+            preds[j].append(i)
+    block = [0] * n
+    size = [n]  # states per block
+    shared: list = [None]  # per block: the signature of its unchanged states
+    levels = [block[:]]
+    sig = [frozenset([(l, 0) for (l, _) in out]) for out in succ]
+    dirty = range(n)
+    while True:
+        grouped: dict[int, dict[frozenset, list[int]]] = {}
+        for i in dirty:
+            grouped.setdefault(block[i], {}).setdefault(sig[i], []).append(i)
+        moved: list[int] = []
+        for b, parts in grouped.items():
+            if sum(map(len, parts.values())) < size[b]:
+                parts.pop(shared[b], None)
+                split = list(parts.values())
+            else:
+                split = sorted(parts.values(), key=len, reverse=True)
+                shared[b] = sig[split[0][0]]
+                del split[0]
+            for part in split:
+                new = len(size)
+                size.append(len(part))
+                shared.append(sig[part[0]])
+                size[b] -= len(part)
+                for i in part:
+                    block[i] = new
+                moved.extend(part)
+        if not moved:
+            return levels
+        levels.append(block[:])
+        dirty = {i for j in moved for i in preds[j]}
+        for i in dirty:
+            sig[i] = frozenset([(l, block[j]) for (l, j) in succ[i]])
+
+
+def _renumber(levels, order) -> list[list[int]]:
+    """Each level's blocks numbered by first appearance along `order`."""
+    out = []
+    for level in levels:
+        ids: dict[int, int] = {}
+        new = [0] * len(level)
+        for i in order:
+            new[i] = ids.setdefault(level[i], len(ids))
+        out.append(new)
     return out
 
 
-def _refinement_history(states, out) -> list[dict[Term, int]]:
-    order = sorted(states, key=str)
-    block = {s: 0 for s in order}
-    history = [dict(block)]
-    while True:
-        sigs = {
-            s: (block[s],
-                frozenset((l, block[q]) for (l, q) in out.get(s, ())))
-            for s in order
-        }
-        ids: dict = {}
-        new = {}
-        for s in order:
-            new[s] = ids.setdefault(sigs[s], len(ids))
-        if new == block:
-            return history
-        block = new
-        history.append(dict(block))
-
-
-def _distinguish(p: Term, q: Term, history, out) -> dict:
-    level = next(i for i, blk in enumerate(history) if blk[p] != blk[q])
-    prev = history[level - 1]
+def _distinguish(p: int, q: int, levels, out, names) -> dict:
+    level = next(i for i, blk in enumerate(levels) if blk[p] != blk[q])
+    prev = levels[level - 1]
 
     def sig(s):
-        return {(l, prev[s2]) for (l, s2) in out.get(s, ())}
+        return {(l, prev[s2]) for (l, s2) in out[s]}
 
     for side, a, b in (("left", p, q), ("right", q, p)):
         extra = sig(a) - sig(b)
         if not extra:
             continue
-        l, cls = min(extra, key=lambda e: (e[0], e[1]))
-        a2 = next(s2 for (l2, s2) in out.get(a, ()) if l2 == l and prev[s2] == cls)
+        l, cls = min(extra)
+        a2 = next(s2 for (l2, s2) in out[a] if l2 == l and prev[s2] == cls)
         responses = []
-        for (l2, b2) in out.get(b, ()):
+        for (l2, b2) in out[b]:
             if l2 == l:
                 responses.append(
-                    {"to": str(b2), "then": _distinguish(a2, b2, history, out)}
+                    {"to": names[b2],
+                     "then": _distinguish(a2, b2, levels, out, names)}
                 )
-        return {"side": side, "label": l, "move": str(a2),
-                "from": str(a), "responses": responses}
+        return {"side": side, "label": l, "move": names[a2],
+                "from": names[a], "responses": responses}
     raise AssertionError("states separated without a distinguishing move")
 
 
@@ -194,32 +253,57 @@ def _bounded_distinguish(p: Term, q: Term, tss: Tss, depth: int,
 
 def strong_bisim(p: Term, q: Term, tss: Tss,
                  bounds: Bounds = Bounds()) -> Verdict:
-    """Exact when both reachable LTSs close within the state cap; otherwise
-    stratified up to `depth`, where only Fails is definitive."""
+    """Strong bisimilarity of two closed terms.
+
+    Exact when both reachable LTSs close within the state cap: partition
+    refinement then certifies Holds with the partition of all states, or
+    builds a witness from the k-step partitions.  If either LTS is
+    truncated, a distinguishing move tree is searched up to `depth` steps:
+    Fails is definitive, and otherwise the verdict is inconclusive and
+    names the bound that truncated the LTS.
+    """
+    return _strong(p, q, tss, bounds, certify=True)
+
+
+def _strong(p: Term, q: Term, tss: Tss, bounds: Bounds,
+            certify: bool) -> Verdict:
+    """`strong_bisim`; without `certify`, a Holds reached by refinement
+    carries no certificate."""
     if p == q:
         return _identity()
+    open_sides = [str(side) for side in (p, q) if not is_closed(side)]
+    if open_sides:
+        raise ValueError("strong bisimilarity needs closed terms, got %s"
+                         % " and ".join(open_sides))
     lp = explore(p, tss, bounds.state_cap)
-    lq = explore(q, tss, bounds.state_cap)
-    if lp.complete and lq.complete:
-        states = lp.states | lq.states
-        out = _edges_by_state(lp.transitions | lq.transitions)
-        history = _refinement_history(states, out)
-        final = history[-1]
-        if final[p] == final[q]:
-            classes: dict[int, list[str]] = {}
-            for s, b in final.items():
-                classes.setdefault(b, []).append(str(s))
-            cert = {"partition": sorted(sorted(c) for c in classes.values())}
-            return Verdict(HOLDS, "partition refinement", certificate=cert)
-        return Verdict(FAILS, "distinguished by partition refinement",
-                       witness=_distinguish(p, q, history, out))
-    w = _bounded_distinguish(p, q, tss, bounds.depth, {})
-    if w is not None:
-        return Verdict(FAILS, "distinguished within depth bound", witness=w)
-    return Verdict(
-        INCONCLUSIVE,
-        "state cap %d exceeded; %d-step bisimilar" % (bounds.state_cap, bounds.depth),
-    )
+    # once p's LTS is truncated, q's is not needed: the depth-bounded
+    # search derives its own transitions
+    lq = explore(q, tss, bounds.state_cap) if lp.complete else lp
+    if not lq.complete:
+        w = _bounded_distinguish(p, q, tss, bounds.depth, {})
+        if w is not None:
+            return Verdict(FAILS, "distinguished within depth bound", witness=w)
+        return Verdict(INCONCLUSIVE, "%s exceeded; %d-step bisimilar"
+                       % (lq.cap, bounds.depth))
+    states, succ, qi = _join(lp, lq)
+    levels = _refine(succ)
+    block = levels[-1]
+    if block[0] == block[qi]:
+        if not certify:
+            return Verdict(HOLDS, "partition refinement")
+        classes: dict[int, list[str]] = {}
+        for s, b in zip(states, block):
+            classes.setdefault(b, []).append(str(s))
+        cert = {"partition": sorted(sorted(c) for c in classes.values())}
+        return Verdict(HOLDS, "partition refinement", certificate=cert)
+    # witnesses keep the block numbers of the level-by-level partitions:
+    # first appearance over the states in printed order
+    names = [str(s) for s in states]
+    order = sorted(range(len(states)), key=names.__getitem__)
+    out = [sorted(edges, key=lambda e: (e[0], names[e[1]])) for edges in succ]
+    return Verdict(FAILS, "distinguished by partition refinement",
+                   witness=_distinguish(0, qi, _renumber(levels, order),
+                                        out, names))
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +330,15 @@ def ci_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
     count = 0
     for images in itertools.product(pool, repeat=len(names)):
         sigma = dict(zip(names, images))
-        inner = strong_bisim(apply_subst(sigma, s), apply_subst(sigma, t), tss, bounds)
+        p, q = apply_subst(sigma, s), apply_subst(sigma, t)
+        # an instance that holds builds no certificate; one that fails
+        # ends the sweep with its witness
+        inner = _strong(p, q, tss, bounds, certify=False)
         count += 1
         if inner.fails:
             witness = {
                 "sigma": {x: str(v) for x, v in sorted(sigma.items())},
-                "instance": [str(apply_subst(sigma, s)), str(apply_subst(sigma, t))],
+                "instance": [str(p), str(q)],
                 "distinguisher": inner.witness,
             }
             return Verdict(FAILS, "closing substitution distinguishes",

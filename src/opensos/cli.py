@@ -192,10 +192,12 @@ def cmd_explore(args) -> int:
                         for (p, l, q) in edges],
         "complete": lts.complete,
     }
+    if not lts.complete:
+        payload["cap"] = lts.cap
     _emit(payload, args.json,
           ["%d state(s), %d transition(s), %s"
            % (len(lts.states), len(edges),
-              "complete" if lts.complete else "truncated")]
+              "complete" if lts.complete else "truncated at " + lts.cap)]
           + ["%s -%s-> %s" % (p, l, q) for (p, l, q) in edges])
     return OK if lts.complete else INCONCLUSIVE_AT_BOUND
 
@@ -206,7 +208,11 @@ def cmd_check(args) -> int:
     lhs = _term(args.lhs, tss)
     rhs = _term(args.rhs, tss)
     bounds = _bounds_from(args)
-    v = check(args.notion, lhs, rhs, tss, bounds)
+    try:
+        v = check(args.notion, lhs, rhs, tss, bounds)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return INPUT_ERROR
     _emit(v.to_json(), args.json,
           ["%s: %s" % (v.kind, v.reason)] if v.reason else [v.kind])
     if v.holds:

@@ -170,9 +170,30 @@ def initial_actions(p: Term, tss: Tss) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class Lts:
-    states: frozenset[Term]
-    transitions: frozenset[tuple[Term, str, Term]]
-    complete: bool
+    """A reachable LTS with its states numbered in breadth-first order.
+
+    `states[0]` is the root; `succ[i]` lists state i's edges as
+    (label, state number) pairs in `succ_key` order.  `cap` names the bound
+    that refused a state, None when the LTS is complete.  A truncated LTS
+    holds only the states numbered before the refusal: the state being
+    expanded then keeps the edges found so far, and the states after it
+    have no entry in `succ` (they were never expanded).
+    """
+
+    states: tuple[Term, ...]
+    succ: tuple[tuple[tuple[str, int], ...], ...]
+    cap: str | None = None
+
+    @property
+    def complete(self) -> bool:
+        return self.cap is None
+
+    @property
+    def transitions(self) -> frozenset[tuple[Term, str, Term]]:
+        states = self.states
+        return frozenset((states[i], l, states[j])
+                         for i, edges in enumerate(self.succ)
+                         for (l, j) in edges)
 
 
 STATE_SIZE_CAP = 1000  # derivatives can outgrow any state cap on copying rules
@@ -189,27 +210,43 @@ def succ_key(e: tuple[str, Term]):
 
 
 def explore(p: Term, tss: Tss, state_cap: int = 10_000) -> Lts:
-    """Breadth-first reachable LTS from p; complete unless a cap bites."""
-    seen: set[Term] = {p}
-    frontier = [p]
-    edges: set[tuple[Term, str, Term]] = set()
-    complete = True
-    while frontier:
-        nxt: list[Term] = []
-        for q in frontier:
-            for (l, q2) in sorted(transitions(q, tss), key=succ_key):
-                edges.add((q, l, q2))
-                if q2 not in seen:
-                    if (len(seen) >= state_cap
-                            or term_size(q2) > STATE_SIZE_CAP
-                            or (isinstance(q2, App)
-                                and q2.depth > STATE_DEPTH_CAP)):
-                        complete = False
-                        continue
-                    seen.add(q2)
-                    nxt.append(q2)
-        frontier = nxt
-    return Lts(frozenset(seen), frozenset(edges), complete)
+    """The LTS reachable from the closed term p, explored breadth-first.
+
+    Exploration stops at the first new state that a bound refuses: the
+    state cap (the number of states), `STATE_SIZE_CAP` (operator nodes of
+    one state) or `STATE_DEPTH_CAP` (its nesting depth).  The result then
+    names that bound in `cap`; otherwise it is complete.  A truncated LTS
+    is incomplete whichever state is refused first, so stopping there loses
+    nothing a caller could decide from it.
+    """
+    number = {p: 0}
+    states = [p]
+    succ: list[tuple[tuple[str, int], ...]] = []
+    cap = None
+    for s in states:  # grows while it is walked: a breadth-first queue
+        moves = transitions(s, tss)
+        if len(moves) > 1:
+            moves = sorted(moves, key=succ_key)
+        edges = []
+        for (l, q) in moves:
+            j = number.get(q)
+            if j is None:
+                j = len(states)
+                if j >= state_cap:
+                    cap = "state cap %d" % state_cap
+                elif q.size > STATE_SIZE_CAP:
+                    cap = "state size cap %d" % STATE_SIZE_CAP
+                elif q.depth > STATE_DEPTH_CAP:
+                    cap = "state depth cap %d" % STATE_DEPTH_CAP
+                if cap:
+                    break
+                number[q] = j
+                states.append(q)
+            edges.append((l, j))
+        succ.append(tuple(edges))
+        if cap:
+            break
+    return Lts(tuple(states), tuple(succ), cap)
 
 
 def instantiations(r: Ruloid, sigma: Subst, tss: Tss

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from opensos import (
     NOTIONS,
@@ -18,8 +19,11 @@ from opensos import (
     pfh_bisim,
     php_bisim,
     strong_bisim,
+    transitions,
 )
 from opensos.bisim import _norm_state
+
+from gen import random_closed_term, random_tss
 
 SMALL = Bounds(term_size=2, depth=8, state_cap=200, pair_cap=500)
 
@@ -68,6 +72,123 @@ def test_strong_bounded_fallback_on_infinite_state_spaces():
     # c and e are bisimilar, but neither LTS closes within the cap
     v2 = strong_bisim(App("c"), App("e"), t, small)
     assert v2.inconclusive
+    assert v2.reason == "state cap 4 exceeded; 6-step bisimilar"
+
+
+def test_strong_inconclusive_names_the_cap_that_fired():
+    item3 = parse('tss T { labels: a; op c0/0; op g0/1; '
+                  'rule "r0": |- c0 -a-> g0(c0); '
+                  'rule "r2": |- g0(x0) -a-> g0(g0(x0)); '
+                  'rule "r3": x0 -a-> y0 |- g0(x0) -a-> y0; }').tss("T")
+    # c0's states nest one g0 deeper per step: the depth cap refuses the
+    # 121st state, long before the state cap of 10 000
+    v = strong_bisim(App("c0"), App("g0", (App("c0"),)), item3)
+    assert v.inconclusive
+    assert v.reason == "state depth cap 120 exceeded; 12-step bisimilar"
+
+
+def _check_partition(cert, p, q, tss):
+    """The partition is stable and puts both roots in one block."""
+    blocks = [[parse_term(x, tss) for x in block] for block in cert["partition"]]
+    where = {s: i for i, block in enumerate(blocks) for s in block}
+    assert where[p] == where[q]
+    for block in blocks:
+        # a successor outside every block raises KeyError
+        sigs = {frozenset((l, where[s2]) for (l, s2) in transitions(s, tss))
+                for s in block}
+        assert len(sigs) == 1, block
+
+
+def _replay(w, p, q, tss):
+    """Every move is a transition, and every same-label answer is refuted."""
+    a, b = (p, q) if w["side"] == "left" else (q, p)
+    assert w["from"] == str(a)
+    assert w["move"] in {str(s) for (l, s) in transitions(a, tss)
+                         if l == w["label"]}
+    answers = sorted(str(s) for (l, s) in transitions(b, tss) if l == w["label"])
+    assert sorted(r["to"] for r in w["responses"]) == answers
+    a2 = parse_term(w["move"], tss)
+    for r in w["responses"]:
+        _replay(r["then"], a2, parse_term(r["to"], tss), tss)
+
+
+def test_strong_certificates_and_witnesses_check_out():
+    rng = random.Random(61)
+    bounds = Bounds(depth=4, state_cap=8)
+    seen = set()
+    for _ in range(300):
+        tss = random_tss(rng)
+        p = random_closed_term(rng, tss, 3)
+        q = random_closed_term(rng, tss, 3)
+        v = strong_bisim(p, q, tss, bounds)
+        seen.add((v.kind, v.reason))
+        if v.holds and p != q:
+            _check_partition(v.certificate, p, q, tss)
+        elif v.fails:
+            _replay(v.witness, p, q, tss)
+    assert {("holds", "partition refinement"),
+            ("fails", "distinguished by partition refinement"),
+            ("fails", "distinguished within depth bound")} <= seen
+
+
+PAR_WITNESS = {
+    "side": "left", "label": "a",
+    "from": "par(pa(pa(nil)), par(pb(pb(pb(nil))), pc(pc(pc(nil)))))",
+    "move": "par(pa(nil), par(pb(pb(pb(nil))), pc(pc(pc(nil)))))",
+    "responses": [{
+        "to": "par(par(pa(pa(nil)), pb(pb(pb(nil)))), pc(pc(pc(nil))))",
+        "then": {
+            "side": "left", "label": "a",
+            "from": "par(pa(nil), par(pb(pb(pb(nil))), pc(pc(pc(nil)))))",
+            "move": "par(nil, par(pb(pb(pb(nil))), pc(pc(pc(nil)))))",
+            "responses": [{
+                "to": "par(par(pa(nil), pb(pb(pb(nil)))), pc(pc(pc(nil))))",
+                "then": {
+                    "side": "right", "label": "a",
+                    "from": "par(par(pa(nil), pb(pb(pb(nil)))), pc(pc(pc(nil))))",
+                    "move": "par(par(nil, pb(pb(pb(nil)))), pc(pc(pc(nil))))",
+                    "responses": [],
+                },
+            }],
+        },
+    }],
+}
+
+
+def test_strong_witness_on_par_chains_is_pinned():
+    chains = parse('tss Chains { labels: a, b, c; op nil/0; op pa/1; '
+                   'op pb/1; op pc/1; op par/2; '
+                   'rule "pa": |- pa(x) -a-> x; rule "pb": |- pb(x) -b-> x; '
+                   'rule "pc": |- pc(x) -c-> x; '
+                   'rule "par-l" forall l: x -l-> x2 |- par(x, y) -l-> par(x2, y); '
+                   'rule "par-r" forall l: y -l-> y2 |- par(x, y) -l-> par(x, y2); '
+                   '}').tss("Chains")
+    # one a-step short on the left: told apart only at the third level
+    p = parse_term("par(pa(pa(nil)), par(pb(pb(pb(nil))), pc(pc(pc(nil)))))",
+                   chains)
+    q = parse_term("par(par(pa(pa(pa(nil))), pb(pb(pb(nil)))), pc(pc(pc(nil))))",
+                   chains)
+    v = strong_bisim(p, q, chains)
+    assert v.reason == "distinguished by partition refinement"
+    assert v.witness == PAR_WITNESS
+    _replay(v.witness, p, q, chains)
+
+
+def test_strong_witness_numbers_classes_in_printed_order():
+    t = parse('tss T { labels: a, b; op p/0; op q/0; op z/0; op n/0; op f/1; '
+              'rule "p1": |- p -a-> z; rule "p2": |- p -a-> f(n); '
+              'rule "q": |- q -a-> n; rule "z": |- z -b-> n; '
+              'rule "fa": |- f(x) -a-> x; rule "fb": |- f(x) -b-> x; }').tss("T")
+    # both of p's moves escape q; the attacker takes the move into the class
+    # that comes first in printed order (f(n) < z), though exploration
+    # reaches z first
+    v = strong_bisim(App("p"), App("q"), t)
+    assert v.witness == {
+        "side": "left", "label": "a", "from": "p", "move": "f(n)",
+        "responses": [{"to": "n", "then": {
+            "side": "left", "label": "a", "from": "f(n)", "move": "n",
+            "responses": []}}],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,63 @@ def test_check_exit_codes(capsys):
                "--spec", EX5, "--tss", "Choice0", "--term-size", "2")[0] == 3
 
 
+def test_open_terms_under_strong_are_an_input_error(capsys):
+    code, out, err = run(capsys, "check", "strong", "x", "y", "--spec", EX1,
+                         "--tss", "Ccs")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: strong bisimilarity needs closed terms, "
+                   "got x and y\n")
+
+
+EXPLORE_DEMO = """\
+3 state(s), 3 transition(s), complete
+plus(pre_a(zero), pre_a(pre_a(zero))) -a-> pre_a(zero)
+plus(pre_a(zero), pre_a(pre_a(zero))) -a-> zero
+pre_a(zero) -a-> zero
+"""
+
+
+def test_explore_lists_a_complete_lts(capsys):
+    term = "plus(pre_a(zero), pre_a(pre_a(zero)))"
+    code, out, _ = run(capsys, "explore", term, "--spec", EX1, "--tss", "Ccs")
+    assert code == 0
+    assert out == EXPLORE_DEMO
+    code, out, _ = run(capsys, "explore", term, "--spec", EX1, "--tss", "Ccs",
+                       "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "complete": True,
+        "root": term,
+        "states": [term, "pre_a(zero)", "zero"],
+        "transitions": [
+            {"label": "a", "source": term, "target": "pre_a(zero)"},
+            {"label": "a", "source": term, "target": "zero"},
+            {"label": "a", "source": "pre_a(zero)", "target": "zero"},
+        ],
+    }
+
+
+def test_explore_stops_at_the_cap_and_names_it(tmp_path, capsys):
+    spec = tmp_path / "grow.sos"
+    spec.write_text('tss T { labels: a; op c/0; op s/1; '
+                    'rule "grow": |- c -a-> s(c); '
+                    'rule "step": x -a-> x2 |- s(x) -a-> s(x2); }')
+    code, out, _ = run(capsys, "explore", "c", "--spec", str(spec),
+                       "--state-cap", "3")
+    assert code == 3
+    assert out == ("3 state(s), 2 transition(s), truncated at state cap 3\n"
+                   "c -a-> s(c)\n"
+                   "s(c) -a-> s(s(c))\n")
+    code, out, _ = run(capsys, "explore", "c", "--spec", str(spec),
+                       "--state-cap", "3", "--json")
+    payload = json.loads(out)
+    assert payload["complete"] is False
+    assert payload["cap"] == "state cap 3"
+    assert payload["states"] == ["c", "s(c)", "s(s(c))"]
+    assert {e["target"] for e in payload["transitions"]} <= set(payload["states"])
+
+
 def test_check_witness_json(capsys):
     code, out, _ = run(capsys, "check", "ci", "plus(x, y)", "zero",
                        "--spec", EX5, "--tss", "ChoiceA",
