@@ -193,7 +193,6 @@ class EquationCriteria:
     lhs_linear: bool
     rhs_linear: bool
     placement_violations: tuple[str, ...]
-    notes: tuple[str, ...] = ()
 
     @property
     def met(self) -> bool:
@@ -205,6 +204,8 @@ def robust_equation_criteria(eq: Equation, tss: Tss, size_bound: int, *,
                              force: bool = False) -> EquationCriteria:
     """Side conditions under which a sound equation survives any disjoint
     positive GSOS extension: fertility, linearity, and non-evolving placement.
+    Closed argument terms at evolving indices are permitted; only open
+    arguments are constrained.
 
     Soundness of the equation itself is established separately.
     """
@@ -217,12 +218,8 @@ def robust_equation_criteria(eq: Equation, tss: Tss, size_bound: int, *,
         else:
             violations.extend("%s: %s" % (side, v)
                               for v in _open_argument_placement(t, table))
-    notes = (
-        "closed argument terms at evolving indices are permitted; only open "
-        "arguments are constrained",
-    )
     return EquationCriteria(
-        fert, is_linear(eq.lhs), is_linear(eq.rhs), tuple(violations), notes
+        fert, is_linear(eq.lhs), is_linear(eq.rhs), tuple(violations)
     )
 
 

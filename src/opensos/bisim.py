@@ -7,11 +7,12 @@ hold at once under every notion, certified by the identity relation.
 fh and hp are one game over states (s, t, gamma): two open terms and the
 hypotheses accumulated on their variables, which fh leaves empty.  They
 share one normal form (`_norm_state`), one budget policy
-(`_Game.challenges`) and one solver; a notion only says how a defender
-ruloid may answer an attacker's.  Both work at the most-general-ruloid
-level, and hypothesis-target merging is covered explicitly (merged pair
-variants for fh, alignment maps for hp), so Holds is sound and Fails always
-bottoms out in a concretely unmatched ruloid.
+(`_Game.challenges`) and one solver, which builds the game breadth-first,
+solves it on the fly and stops once the root is lost; a notion only says
+how a defender ruloid may answer an attacker's.  Both work at the
+most-general-ruloid level, and hypothesis-target merging is covered
+explicitly (merged pair variants for fh, alignment maps for hp), so Holds
+is sound and Fails always bottoms out in a concretely unmatched ruloid.
 """
 from __future__ import annotations
 
@@ -357,10 +358,9 @@ def ci_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
 EMPTY: frozenset[Hyp] = frozenset()
 
 
-def _is_proper_pair(s: Term, t: Term) -> bool:
-    if isinstance(s, Var) or isinstance(t, Var):
-        return isinstance(s, Var) and isinstance(t, Var) and s.name == t.name
-    return True
+def _is_proper(state) -> bool:
+    s, t, _ = state
+    return s == t or not (isinstance(s, Var) or isinstance(t, Var))
 
 
 def _rename(names: dict[str, str], t: Term) -> Term:
@@ -502,19 +502,18 @@ def _embeddings(cand: Ruloid, gamma):
         yield mapping
 
 
-@dataclass
-class _Node:
-    obligations: list  # of (description dict, [successor states])
-    improper: bool
-
-
 class _Game:
-    """Shared safety-game core: build reachable nodes, then solve for 'bad'.
+    """Shared safety-game core, built breadth-first and solved on the fly;
+    the search stops once the root is lost.
 
-    A node is bad when some obligation has only bad options (an obligation
-    with no options at all is an unmatched ruloid).  Bad is a least fixpoint,
-    so Fails verdicts are definitive even under the pair cap.  Each notion
-    supplies `node_for`, `describe` and `certificate`.
+    A state is lost when some obligation has only lost options (an
+    obligation with no options at all is an unmatched ruloid) or, in the
+    proper variants, when its pair is improper.  Lost is a least fixpoint,
+    so Fails verdicts are definitive even under the pair cap.  Each
+    obligation counts its options not yet lost and each state lists the
+    obligations waiting on it, so a loss spreads once along those lists
+    (Liu and Smolka's linear-time fixpoint scheme).  Each notion supplies
+    `obligations`, `describe` and `certificate`.
     """
 
     SIZE_CAP = 24  # per-side operator-node budget for explored derivatives
@@ -524,7 +523,6 @@ class _Game:
         self.tss = tss
         self.pair_cap = pair_cap
         self.proper = proper
-        self.nodes: dict = {}
         # the bounds that fired: "pair", "size" and/or "hypothesis"
         self.capped: set[str] = set()
 
@@ -568,57 +566,59 @@ class _Game:
     def run(self, s: Term, t: Term) -> Verdict:
         if s == t:
             return _identity()
-        root_key = _norm_state(s, t, EMPTY)
-        frontier = [root_key]
-        queued = {root_key}
-        while frontier:
+        root = _norm_state(s, t, EMPTY)
+        seen = {root}  # every state queued
+        lost: dict = {}  # state -> the (description, options) that lost it
+        waiting: dict = {}  # state -> [[live options, owner, obligation], ...]
+        built = 0
+        frontier = [root]
+        while frontier and root not in lost:
             nxt = []
             for key in frontier:
-                if len(self.nodes) >= self.pair_cap:
+                if root in lost:
+                    break
+                if built >= self.pair_cap:
                     self.capped.add("pair")
                     break
-                node = self.node_for(key)
-                self.nodes[key] = node
-                for _, options in node.obligations:
-                    for opt in options:
-                        if opt not in queued and opt not in self.nodes:
+                built += 1
+                obs = [[len(o[1]), key, o] for o in self.obligations(key)]
+                for ob in obs:
+                    for opt in ob[2][1]:
+                        if opt in lost:
+                            ob[0] -= 1
+                        else:
+                            waiting.setdefault(opt, []).append(ob)
+                        if opt not in seen:
                             if self.key_size(opt) > self.SIZE_CAP:
-                                # runaway derivative growth: leave the node
+                                # runaway derivative growth: leave the state
                                 # unexplored; Holds then requires a retry with
                                 # different bounds, Fails stays definitive
                                 self.capped.add("size")
                                 continue
-                            queued.add(opt)
+                            seen.add(opt)
                             nxt.append(opt)
+                dead = [ob[2] for ob in obs if not ob[0]]
+                if self.proper and not _is_proper(key):
+                    dead.insert(0, ({"improper": self.describe(key)}, None))
+                if not dead:
+                    continue
+                lost[key] = dead[0]
+                spread = [key]
+                for k in spread:
+                    for ob in waiting.pop(k, ()):
+                        ob[0] -= 1
+                        if not ob[0] and ob[1] not in lost:
+                            lost[ob[1]] = ob[2]
+                            spread.append(ob[1])
             if self.capped:
                 break
             frontier = nxt
-        bad: dict = {}
-        # strictly increasing assignment order, so a witness step can always
-        # descend to an option marked bad before the current node was
-        order = itertools.count(1)
-        changed = True
-        while changed:
-            changed = False
-            for key, node in self.nodes.items():
-                if key in bad:
-                    continue
-                if self.proper and node.improper:
-                    bad[key] = (next(order), {"improper": self.describe(key)}, None)
-                    changed = True
-                    continue
-                for desc, options in node.obligations:
-                    if all(opt in bad for opt in options):
-                        bad[key] = (next(order), desc, options)
-                        changed = True
-                        break
-        if root_key in bad:
+        if root in lost:
             return Verdict(FAILS, "unmatched ruloid",
-                           witness=self._witness(root_key, bad))
-        if not self.capped:
-            good = [k for k in self.nodes if k not in bad]
-            return Verdict(HOLDS, "relation closed",
-                           certificate=self.certificate(good))
+                           witness=self._witness(root, lost))
+        if not self.capped:  # so every state seen was built
+            good = self.certificate([k for k in seen if k not in lost])
+            return Verdict(HOLDS, "relation closed", certificate=good)
         caps = {"pair": "pair cap %d" % self.pair_cap,
                 "size": "size cap %d" % self.SIZE_CAP,
                 "hypothesis": "hypothesis cap %d" % self.HYP_CAP}
@@ -626,19 +626,19 @@ class _Game:
                              if name in self.capped)
         return Verdict(INCONCLUSIVE, "%s reached without closure" % fired)
 
-    def _witness(self, key, bad) -> dict:
+    def _witness(self, key, lost) -> dict:
+        # a losing obligation's options were all lost before it: the trace ends
         trace = []
         while True:
-            rnd, desc, options = bad[key]
+            desc, options = lost[key]
             step = {"state": self.describe(key), "obligation": desc}
             trace.append(step)
-            if options is None:
+            if options is None:  # an improper pair
                 break
-            live = [o for o in options if o in bad and bad[o][0] < rnd]
-            if not live:  # no options at all: the unmatched ruloid
+            if not options:  # the unmatched ruloid
                 step["unmatched"] = True
                 break
-            key = min(live, key=_state_key_str)
+            key = min(options, key=_state_key_str)
         return {"trace": trace}
 
 
@@ -646,7 +646,7 @@ class _FhGame(_Game):
     """Hypotheses match one to one, up to renaming their targets; the
     relation must also contain every variable-merging variant of a pair."""
 
-    def node_for(self, key) -> _Node:
+    def obligations(self, key) -> list:
         s, t, _ = key
         obligations = []
         for a, b, r, responses in self.challenges(s, t):
@@ -663,7 +663,7 @@ class _FhGame(_Game):
                   "merged-variant": [str(variant[0]), str(variant[1])]},
                  [variant])
             )
-        return _Node(obligations, not _is_proper_pair(s, t))
+        return obligations
 
     def describe(self, key):
         return [str(key[0]), str(key[1])]
@@ -684,7 +684,7 @@ class _HpGame(_Game):
     """The attacker's fresh hypotheses are aligned into gamma first; the
     defender's must then embed into the accumulated hypotheses."""
 
-    def node_for(self, key) -> _Node:
+    def obligations(self, key) -> list:
         s, t, gamma = key
         obligations = []
         for a, b, r, responses in self.challenges(s, t):
@@ -706,7 +706,7 @@ class _HpGame(_Game):
                     "accumulated": sorted(str(h) for h in gamma2),
                 }
                 obligations.append((desc, sorted(options, key=_state_key_str)))
-        return _Node(obligations, not _is_proper_pair(s, t))
+        return obligations
 
     def describe(self, key):
         s, t, gamma = key

@@ -6,6 +6,7 @@ Exit codes: 0 holds/ok, 1 fails/criteria-not-met, 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from .terms import SignatureError
 
 OK, FAIL, INPUT_ERROR, INCONCLUSIVE_AT_BOUND = 0, 1, 2, 3
 
-_BOUND_KEYS = ("term_size", "depth", "state_cap", "pair_cap")
+_BOUND_KEYS = tuple(f.name for f in dataclasses.fields(Bounds))
 
 
 def _env_bounds() -> dict[str, int]:
@@ -40,24 +41,28 @@ def _bounds_from(args) -> Bounds:
         if value is not None:
             merged[key] = value
     bounds = Bounds(**merged)
-    if min(bounds.term_size, bounds.depth, bounds.state_cap, bounds.pair_cap) < 1:
+    if min(dataclasses.astuple(bounds)) < 1:
         raise SystemExit("bounds must be positive")
     return bounds
 
 
 def _add_bounds_flags(sub) -> None:
-    sub.add_argument("--term-size", dest="term_size", type=int)
-    sub.add_argument("--depth", dest="depth", type=int)
-    sub.add_argument("--state-cap", dest="state_cap", type=int)
-    sub.add_argument("--pair-cap", dest="pair_cap", type=int)
+    for key in _BOUND_KEYS:
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=int)
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if as_json:
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (as `| head` does): drop the rest, and
+        # the flush at exit, so the command still returns its own code
+        sys.stdout = open(os.devnull, "w")
 
 
 def _load(path: str) -> specio.SpecDocument:
@@ -311,13 +316,8 @@ def cmd_advise(args) -> int:
 def _run_fixture(fx: dict, root: Path, bounds: Bounds) -> tuple[str, str]:
     """Returns (expected, actual) labels for one manifest entry."""
     doc = parse((root / fx["spec"]).read_text())
-    fb = dict(
-        (k, fx["bounds"][k]) for k in _BOUND_KEYS if k in fx.get("bounds", {})
-    )
-    if fb:
-        merged = {k: getattr(bounds, k) for k in _BOUND_KEYS}
-        merged.update(fb)
-        bounds = Bounds(**merged)
+    bounds = dataclasses.replace(bounds, **{
+        k: v for k, v in fx.get("bounds", {}).items() if k in _BOUND_KEYS})
     cmd = fx["command"]
     if cmd == "check":
         tss = doc.tss(fx["tss"])

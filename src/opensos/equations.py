@@ -306,13 +306,9 @@ def preservation_advisor(theory: EquationalTheory, base: Tss, ext: Tss,
                 **_equation_conjuncts(crit3),
             }
 
-        order = ["robust-extension-labels", "no-new-labels",
-                 "proper-pfh-certificate", "proper-php-certificate",
-                 "non-evolving-criteria"]
+        # theorems was filled in priority order
         chosen = next(
-            (name for name in order
-             if name in theorems and theorems[name]["applies"]), None
-        )
+            (name for name, th in theorems.items() if th["applies"]), None)
         recheck = check(notion, eq.lhs, eq.rhs, ext, bounds)
         if recheck.fails:
             classification = BROKEN

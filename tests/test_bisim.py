@@ -21,9 +21,11 @@ from opensos import (
     strong_bisim,
     transitions,
 )
-from opensos.bisim import _norm_state
+from opensos import bisim
+from opensos.bisim import EMPTY, _norm_state
 
-from gen import random_closed_term, random_tss
+from gen import (random_closed_term, random_extension, random_open_term,
+                 random_tss)
 
 SMALL = Bounds(term_size=2, depth=8, state_cap=200, pair_cap=500)
 
@@ -396,3 +398,100 @@ def test_one_normal_form_for_game_states(corpus_tsss):
             assert all(a is b for a, b in zip(again, norm))
             checked += 1
     assert checked > 1000
+
+
+def test_php_arena_loses_at_its_first_state(monkeypatch):
+    # the benchmark's php arena: the root is lost by an unmatched ruloid,
+    # yet more states than the pair cap of 150 are reachable from it
+    arena = parse('tss T { labels: a; op c0/0; op g0/1; '
+                  'rule "r0": |- c0 -a-> g0(g0(c0)); '
+                  'rule "r1": x0 -a-> y0 |- g0(x0) -a-> g0(y0); '
+                  'rule "r2": x0 -a-> y0 |- g0(x0) -a-> g0(g0(c0)); }'
+                  ).tss("T")
+    built = []
+    obligations = bisim._HpGame.obligations
+    monkeypatch.setattr(bisim._HpGame, "obligations",
+                        lambda game, key: built.append(key)
+                        or obligations(game, key))
+    v = php_bisim(parse_term("g0(g0(y))", arena), App("c0"), arena,
+                  Bounds(pair_cap=150))
+    assert v.fails
+    assert v.witness["trace"][-1]["unmatched"]
+    assert len(built) == 1
+
+
+def test_a_state_whose_option_was_lost_before_it_was_built_loses():
+    # c0 and c3 are told apart only through the pair (c0, c2), which is
+    # built after (c1, c3), the one option of its losing obligation, is lost
+    t = parse('tss T { labels: a, b; op c0/0; op c1/0; op c2/0; op c3/0; '
+              'rule "r01a": |- c0 -a-> c1; rule "r02b": |- c0 -b-> c2; '
+              'rule "r03a": |- c0 -a-> c3; rule "r21a": |- c2 -a-> c1; '
+              'rule "r22b": |- c2 -b-> c2; rule "r30b": |- c3 -b-> c0; '
+              'rule "r31a": |- c3 -a-> c1; rule "r33a": |- c3 -a-> c3; }'
+              ).tss("T")
+    c0, c3 = App("c0"), App("c3")
+    assert strong_bisim(c0, c3, t).fails
+    for checker in (fh_bisim, hp_bisim, pfh_bisim, php_bisim):
+        assert checker(c0, c3, t).fails, checker.__name__
+
+
+def _sweep(game, s, t):
+    """Reference solver: build every reachable state through `obligations`,
+    then sweep for lost states until nothing changes.  The verdict kind and
+    certificate, or None when a bound fires."""
+    root = _norm_state(s, t, EMPTY)
+    graph: dict = {}
+    todo = [root]
+    while todo:
+        key = todo.pop()
+        if key in graph:
+            continue
+        if len(graph) >= game.pair_cap:
+            return None
+        graph[key] = [opts for _, opts in game.obligations(key)]
+        for opts in graph[key]:
+            if any(game.key_size(o) > game.SIZE_CAP for o in opts):
+                return None
+            todo.extend(opts)
+    if game.capped:  # a ruloid over the size or hypothesis cap
+        return None
+    lost: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for key, obligations in graph.items():
+            a, b, _ = key
+            improper = a != b and (isinstance(a, Var) or isinstance(b, Var))
+            if key not in lost and (
+                    game.proper and improper
+                    or any(all(o in lost for o in opts)
+                           for opts in obligations)):
+                lost.add(key)
+                changed = True
+    if root in lost:
+        return "fails", None
+    return "holds", game.certificate([k for k in graph if k not in lost])
+
+
+def test_one_pass_solver_agrees_with_the_fixpoint_sweep():
+    games = {fh_bisim: (bisim._FhGame, False),
+             hp_bisim: (bisim._HpGame, False),
+             pfh_bisim: (bisim._FhGame, True),
+             php_bisim: (bisim._HpGame, True)}
+    rng = random.Random(7)
+    kinds = []
+    for _ in range(200):
+        base = random_tss(rng)
+        tss = random_extension(rng, base, add_label=rng.random() < 0.5)
+        s = random_open_term(rng, base, 3)
+        t = random_open_term(rng, base, 3)
+        if s == t:
+            continue  # the identity relation answers without a game
+        for checker, (game, proper) in games.items():
+            want = _sweep(game(tss, SMALL.pair_cap, proper), s, t)
+            if want is not None:
+                v = checker(s, t, tss, SMALL)
+                assert (v.kind, v.certificate) == want, \
+                    (checker.__name__, str(s), str(t))
+                kinds.append(v.kind)
+    assert kinds.count("holds") > 50 and kinds.count("fails") > 50

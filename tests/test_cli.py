@@ -1,5 +1,7 @@
+import io
 import json
 import shutil
+import sys
 
 import pytest
 
@@ -118,6 +120,25 @@ def test_explore_stops_at_the_cap_and_names_it(tmp_path, capsys):
     assert payload["cap"] == "state cap 3"
     assert payload["states"] == ["c", "s(c)", "s(s(c))"]
     assert {e["target"] for e in payload["transitions"]} <= set(payload["states"])
+
+
+def test_a_closed_pipe_keeps_the_exit_code(tmp_path, monkeypatch):
+    # `opensos explore c0 ... | head -1`: the reader closes the pipe after
+    # the first line, and the truncated exploration still exits with 3
+    spec = tmp_path / "item3.sos"
+    spec.write_text('tss T { labels: a; op c0/0; op g0/1; '
+                    'rule "r0": |- c0 -a-> g0(c0); '
+                    'rule "r2": |- g0(x0) -a-> g0(g0(x0)); '
+                    'rule "r3": x0 -a-> y0 |- g0(x0) -a-> y0; }')
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["explore", "c0", "--spec", str(spec), "--tss", "T"])
+    sys.stdout.close()  # the null device that replaced the pipe
+    assert code == 3
 
 
 def test_check_witness_json(capsys):
