@@ -31,16 +31,7 @@ from .terms import (
     vars_of,
 )
 from .tss import Tss
-from .ruloids import (
-    STATE_SIZE_CAP,
-    Hyp,
-    Lts,
-    Ruloid,
-    explore,
-    ruloids,
-    succ_key,
-    transitions,
-)
+from .ruloids import Hyp, Lts, Ruloid, explore, ruloids
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -98,11 +89,30 @@ def _identity() -> Verdict:
 # strong bisimilarity on closed terms
 
 
+def _expanded(lts: Lts):
+    """The edge lists of the states `lts` expanded in full: all of them,
+    or on a truncated LTS those numbered before the state it cut short."""
+    return lts.succ[:-1] if lts.cap else lts.succ
+
+
+def _horizon(lts: Lts) -> int:
+    """The distance from the root of the state a truncated LTS cut short.
+    States are numbered breadth-first, so every state nearer the root was
+    expanded in full."""
+    dist = [0]
+    for i, edges in enumerate(lts.succ):
+        for (_, j) in edges:
+            if j == len(dist):  # numbered while i was expanded
+                dist.append(dist[i] + 1)
+    return dist[len(lts.succ) - 1]
+
+
 def _join(lp: Lts, lq: Lts):
-    """The states of two complete LTSs numbered once, p's numbers kept, and
-    every state's edges as (label, number) pairs; also q's root number."""
+    """The states of two LTSs numbered once, p's numbers kept, and every
+    state's edges as (label, number) pairs; also q's root number.  Only
+    full expansions count: a state neither LTS expanded in full has no
+    edges."""
     states = list(lp.states)
-    succ = list(lp.succ)
     number = {s: i for i, s in enumerate(states)}
     renum = []
     for s in lq.states:
@@ -110,19 +120,22 @@ def _join(lp: Lts, lq: Lts):
         if i is None:
             i = number[s] = len(states)
             states.append(s)
-            succ.append(None)  # filled below from q's edges
         renum.append(i)
-    for k, edges in enumerate(lq.succ):
+    succ = list(_expanded(lp))
+    by_p = len(succ)  # the states p expanded in full are numbered first
+    succ += [()] * (len(states) - by_p)
+    for k, edges in enumerate(_expanded(lq)):
         i = renum[k]
-        if succ[i] is None:
+        if i >= by_p:
             succ[i] = tuple((l, renum[j]) for (l, j) in edges)
     return states, succ, renum[0]
 
 
-def _refine(succ) -> list[list[int]]:
+def _refine(succ, rounds: int) -> list[list[int]]:
     """Naive partition refinement in worklist form: every level k of the
     partition (the k-step bisimilarity classes, as a block number per
-    state) from level 0 up to the coarsest stable partition.
+    state) from level 0 up to the coarsest stable partition, or up to
+    level `rounds` if that comes first.
 
     Rounds are synchronous, so each level is exactly the k-step partition.
     A state's signature (its labels and successor blocks) is recomputed only
@@ -142,7 +155,7 @@ def _refine(succ) -> list[list[int]]:
     levels = [block[:]]
     sig = [frozenset([(l, 0) for (l, _) in out]) for out in succ]
     dirty = range(n)
-    while True:
+    while len(levels) <= rounds:
         grouped: dict[int, dict[frozenset, list[int]]] = {}
         for i in dirty:
             grouped.setdefault(block[i], {}).setdefault(sig[i], []).append(i)
@@ -164,11 +177,12 @@ def _refine(succ) -> list[list[int]]:
                     block[i] = new
                 moved.extend(part)
         if not moved:
-            return levels
+            break
         levels.append(block[:])
         dirty = {i for j in moved for i in preds[j]}
         for i in dirty:
             sig[i] = frozenset([(l, block[j]) for (l, j) in succ[i]])
+    return levels
 
 
 def _renumber(levels, order) -> list[list[int]]:
@@ -208,68 +222,26 @@ def _distinguish(p: int, q: int, levels, out, names) -> dict:
     raise AssertionError("states separated without a distinguishing move")
 
 
-_DISTINGUISH_WORK_CAP = 50_000
-
-
-def _bounded_distinguish(p: Term, q: Term, tss: Tss, depth: int,
-                         memo: dict) -> dict | None:
-    """A distinguishing move tree within `depth` steps, or None.
-
-    None only ever weakens the outcome to inconclusive, so bailing out when
-    the pair space explodes is sound.
-    """
-    if depth == 0 or len(memo) > _DISTINGUISH_WORK_CAP:
-        return None
-    key = (p, q, depth)
-    if key in memo:
-        return memo[key]
-    memo[key] = None  # guard against needless re-entry
-    result = None
-    for side, a, b in (("left", p, q), ("right", q, p)):
-        for (l, a2) in sorted(transitions(a, tss), key=succ_key):
-            if term_size(a2) > STATE_SIZE_CAP:
-                continue  # pruning attacker moves only loses completeness
-            responses = []
-            matched = False
-            for (l2, b2) in sorted(transitions(b, tss), key=succ_key):
-                if l2 != l:
-                    continue
-                if term_size(b2) > STATE_SIZE_CAP:
-                    matched = True  # assume the oversized response answers
-                    break
-                w = _bounded_distinguish(a2, b2, tss, depth - 1, memo)
-                if w is None:
-                    matched = True
-                    break
-                responses.append({"to": str(b2), "then": w})
-            if not matched:
-                result = {"side": side, "label": l, "move": str(a2),
-                          "from": str(a), "responses": responses}
-                break
-        if result:
-            break
-    memo[key] = result
-    return result
-
-
 def strong_bisim(p: Term, q: Term, tss: Tss,
                  bounds: Bounds = Bounds()) -> Verdict:
-    """Strong bisimilarity of two closed terms.
+    """Strong bisimilarity of two closed terms, by partition refinement of
+    the explored part of their LTSs, decided up to min(depth, horizon)
+    steps.
 
-    Exact when both reachable LTSs close within the state cap: partition
-    refinement then certifies Holds with the partition of all states, or
-    builds a witness from the k-step partitions.  If either LTS is
-    truncated, a distinguishing move tree is searched up to `depth` steps:
-    Fails is definitive, and otherwise the verdict is inconclusive and
-    names the bound that truncated the LTS.
+    When both LTSs close within the caps the answer is exact: Holds with
+    the partition of all states as certificate, or Fails with a witness
+    built from the k-step partitions.  When a cap truncates an LTS, its
+    horizon is the distance of the state it cut short; every level of the
+    refinement up to `depth` and the horizons is exact for the roots, so a
+    split there is a definitive Fails, and otherwise the verdict is
+    inconclusive and names the cap.
     """
     return _strong(p, q, tss, bounds, certify=True)
 
 
 def _strong(p: Term, q: Term, tss: Tss, bounds: Bounds,
             certify: bool) -> Verdict:
-    """`strong_bisim`; without `certify`, a Holds reached by refinement
-    carries no certificate."""
+    """`strong_bisim`; without `certify`, a Holds carries no certificate."""
     if p == q:
         return _identity()
     open_sides = [str(side) for side in (p, q) if not is_closed(side)]
@@ -277,19 +249,20 @@ def _strong(p: Term, q: Term, tss: Tss, bounds: Bounds,
         raise ValueError("strong bisimilarity needs closed terms, got %s"
                          % " and ".join(open_sides))
     lp = explore(p, tss, bounds.state_cap)
-    # once p's LTS is truncated, q's is not needed: the depth-bounded
-    # search derives its own transitions
-    lq = explore(q, tss, bounds.state_cap) if lp.complete else lp
-    if not lq.complete:
-        w = _bounded_distinguish(p, q, tss, bounds.depth, {})
-        if w is not None:
-            return Verdict(FAILS, "distinguished within depth bound", witness=w)
-        return Verdict(INCONCLUSIVE, "%s exceeded; %d-step bisimilar"
-                       % (lq.cap, bounds.depth))
+    lq = explore(q, tss, bounds.state_cap)
     states, succ, qi = _join(lp, lq)
-    levels = _refine(succ)
+    cap = lp.cap or lq.cap
+    if cap:
+        reach = min([bounds.depth] + [_horizon(lts) for lts in (lp, lq)
+                                      if lts.cap])
+    else:
+        reach = len(states)  # refinement is stable within n rounds
+    levels = _refine(succ, reach)
     block = levels[-1]
     if block[0] == block[qi]:
+        if cap:
+            return Verdict(INCONCLUSIVE, "%s exceeded; %d-step bisimilar"
+                           % (cap, reach))
         if not certify:
             return Verdict(HOLDS, "partition refinement")
         classes: dict[int, list[str]] = {}
@@ -302,7 +275,9 @@ def _strong(p: Term, q: Term, tss: Tss, bounds: Bounds,
     names = [str(s) for s in states]
     order = sorted(range(len(states)), key=names.__getitem__)
     out = [sorted(edges, key=lambda e: (e[0], names[e[1]])) for edges in succ]
-    return Verdict(FAILS, "distinguished by partition refinement",
+    reason = ("distinguished within depth bound" if cap
+              else "distinguished by partition refinement")
+    return Verdict(FAILS, reason,
                    witness=_distinguish(0, qi, _renumber(levels, order),
                                         out, names))
 

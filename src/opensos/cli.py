@@ -65,12 +65,23 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
         sys.stdout = open(os.devnull, "w")
 
 
-def _load(path: str) -> specio.SpecDocument:
+def _read(path) -> str:
+    """The text of a file the CLI reads.  A file that cannot be read, or
+    is not UTF-8, is an input error: `main` prints it and returns 2."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        raise SystemExit(INPUT_ERROR)
+        raise SystemExit(str(exc))
+    except UnicodeDecodeError as exc:
+        raise SystemExit("%s: not UTF-8 text (%s)" % (path, exc))
+
+
+def _load(path: str, extra: str | None = None) -> specio.SpecDocument:
+    """The spec document at `path`, followed by the declarations in the
+    file `extra` if given."""
+    text = _read(path)
+    if extra:
+        text += "\n" + _read(extra)
     try:
         return parse(text)
     except (ParseError, SignatureError) as exc:
@@ -269,21 +280,7 @@ def cmd_non_evolving(args) -> int:
 
 
 def cmd_advise(args) -> int:
-    text = Path(args.spec).read_text() if Path(args.spec).exists() else None
-    if text is None:
-        print("error: no such file %r" % args.spec, file=sys.stderr)
-        return INPUT_ERROR
-    if args.eqs:
-        try:
-            text += "\n" + Path(args.eqs).read_text()
-        except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return INPUT_ERROR
-    try:
-        doc = parse(text)
-    except (ParseError, SignatureError) as exc:
-        print("%s: %s" % (args.spec, exc), file=sys.stderr)
-        return INPUT_ERROR
+    doc = _load(args.spec, args.eqs)
     base = _pick_tss(doc, args.tss)
     ext = _pick_tss(doc, args.ext)
     axioms = tuple(e for e in doc.equations
@@ -315,7 +312,7 @@ def cmd_advise(args) -> int:
 
 def _run_fixture(fx: dict, root: Path, bounds: Bounds) -> tuple[str, str]:
     """Returns (expected, actual) labels for one manifest entry."""
-    doc = parse((root / fx["spec"]).read_text())
+    doc = parse(_read(root / fx["spec"]))
     bounds = dataclasses.replace(bounds, **{
         k: v for k, v in fx.get("bounds", {}).items() if k in _BOUND_KEYS})
     cmd = fx["command"]
@@ -353,13 +350,16 @@ def cmd_corpus(args) -> int:
         _emit({"fixtures": [], "passed": 0, "failed": 0}, args.json,
               ["0 fixture(s)"])
         return OK
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(_read(manifest_path))
+    except json.JSONDecodeError as exc:
+        raise SystemExit("%s: not valid JSON (%s)" % (manifest_path, exc))
     bounds = _bounds_from(args)
     rows = []
     for fx in sorted(manifest.get("fixtures", []), key=lambda f: f["name"]):
         try:
             expected, actual = _run_fixture(fx, root, bounds)
-        except (ParseError, KeyError, OSError, ValueError) as exc:
+        except (ParseError, KeyError, ValueError, SystemExit) as exc:
             expected, actual = fx.get("expect", "?"), "error: %s" % exc
         rows.append({"name": fx["name"], "expect": expected,
                      "actual": actual, "pass": expected == actual})

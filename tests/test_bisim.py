@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 from opensos import (
     NOTIONS,
@@ -74,7 +75,23 @@ def test_strong_bounded_fallback_on_infinite_state_spaces():
     # c and e are bisimilar, but neither LTS closes within the cap
     v2 = strong_bisim(App("c"), App("e"), t, small)
     assert v2.inconclusive
-    assert v2.reason == "state cap 4 exceeded; 6-step bisimilar"
+    # c's LTS is cut while expanding its state three steps from the root
+    assert v2.reason == "state cap 4 exceeded; 3-step bisimilar"
+
+
+def test_a_truncated_lts_is_decided_only_up_to_its_horizon():
+    t = parse('tss T { labels: a; op c0/0; op g0/2; op g1/0; '
+              'rule "r0": |- c0 -a-> g1; '
+              'rule "r1": x1 -a-> y1 |- g0(x0, x1) -a-> y1; '
+              'rule "r2": |- g0(x0, x1) -a-> x0; '
+              'rule "r3": |- g1 -a-> g0(g0(c0, c0), g0(g1, g1)); }').tss("T")
+    p, q = parse_term("g0(g1, c0)", t), parse_term("g0(c0, c0)", t)
+    assert strong_bisim(p, q, t).holds
+    # at state cap 4 the state cut short has moves beyond the cap; its
+    # partial edge list must not be read as all of its moves
+    v = strong_bisim(p, q, t, Bounds(depth=6, state_cap=4))
+    assert v.inconclusive
+    assert v.reason == "state cap 4 exceeded; 3-step bisimilar"
 
 
 def test_strong_inconclusive_names_the_cap_that_fired():
@@ -114,23 +131,66 @@ def _replay(w, p, q, tss):
         _replay(r["then"], a2, parse_term(r["to"], tss), tss)
 
 
+CAPPED = re.compile(r"state (size |depth )?cap \d+ exceeded; \d+-step bisimilar")
+
+
 def test_strong_certificates_and_witnesses_check_out():
     rng = random.Random(61)
-    bounds = Bounds(depth=4, state_cap=8)
     seen = set()
-    for _ in range(300):
+    for _ in range(400):
         tss = random_tss(rng)
         p = random_closed_term(rng, tss, 3)
         q = random_closed_term(rng, tss, 3)
-        v = strong_bisim(p, q, tss, bounds)
-        seen.add((v.kind, v.reason))
-        if v.holds and p != q:
-            _check_partition(v.certificate, p, q, tss)
-        elif v.fails:
-            _replay(v.witness, p, q, tss)
-    assert {("holds", "partition refinement"),
-            ("fails", "distinguished by partition refinement"),
-            ("fails", "distinguished within depth bound")} <= seen
+        for cap in (8, 4):
+            v = strong_bisim(p, q, tss, Bounds(depth=4, state_cap=cap))
+            seen.add((cap, v.kind, v.reason.split(";")[0]))
+            if v.holds and p != q:
+                _check_partition(v.certificate, p, q, tss)
+            elif v.fails:
+                _replay(v.witness, p, q, tss)
+            elif v.inconclusive:
+                assert CAPPED.fullmatch(v.reason), v.reason
+    for cap in (8, 4):
+        assert {(cap, "holds", "partition refinement"),
+                (cap, "fails", "distinguished by partition refinement"),
+                (cap, "fails", "distinguished within depth bound"),
+                (cap, "inconclusive", "state cap %d exceeded" % cap)} <= seen
+
+
+BRANCHING = ('tss T { labels: a; op c0/0; op g0/0; op g1/2; '
+             'rule "r0": |- c0 -a-> g1(g0, g0); rule "r1": |- c0 -a-> g0; '
+             'rule "r2": |- g0 -a-> g1(g0, c0); '
+             'rule "r3": |- g0 -a-> g1(g1(c0, g0), g1(c0, c0)); '
+             'rule "r4": x0 -a-> y0, x1 -a-> y1 |- g1(x0, x1) -a-> g1(y0, y1); '
+             'rule "r5": x0 -a-> y0 |- g1(x0, x1) -a-> g0; }')
+DRAW_369 = ('tss T { labels: a; op c0/0; op g0/2; op g1/0; '
+            'rule "r0": |- c0 -a-> g0(c0, c0); rule "r1": |- c0 -a-> g1; '
+            'rule "r2": x0 -a-> y0, x1 -a-> y1 |- '
+            'g0(x0, x1) -a-> g0(g0(c0, y0), y1); '
+            'rule "r3": x1 -a-> y1 |- '
+            'g0(x0, x1) -a-> g0(g0(c0, g1), g0(x1, x1)); '
+            'rule "r4": |- g1 -a-> g1; }')
+
+
+def test_truncated_pairs_explore_each_side_once_and_stop(monkeypatch):
+    # the successors of these states multiply, so any derivation beyond
+    # one bounded exploration per side takes minutes and gigabytes
+    calls = []
+    explore = bisim.explore
+    monkeypatch.setattr(bisim, "explore", lambda p, tss, cap: calls.append(p)
+                        or explore(p, tss, cap))
+    cases = [(BRANCHING, "g1(g1(c0, c0), g1(c0, g0))",
+              "g1(g1(g1(g0, g0), g1(g0, g0)), g1(g1(g0, c0), g1(c0, c0)))",
+              Bounds(state_cap=100)),
+             (DRAW_369, "g0(g1, c0)", "g0(g0(g1, c0), g0(c0, g1))",
+              Bounds(depth=4, state_cap=8))]
+    for spec, lhs, rhs, bounds in cases:
+        t = parse(spec).tss("T")
+        calls.clear()
+        v = strong_bisim(parse_term(lhs, t), parse_term(rhs, t), t, bounds)
+        assert v.inconclusive
+        assert v.reason.startswith("state cap %d exceeded;" % bounds.state_cap)
+        assert [str(p) for p in calls] == [lhs, rhs]
 
 
 PAR_WITNESS = {

@@ -252,3 +252,34 @@ def test_inverted_expectation_is_named(tmp_path, capsys):
     code, out, _ = run(capsys, "corpus", str(tmp_path))
     assert code == 1
     assert "inverted" in out and "DIVERGED" in out
+
+
+def test_a_directory_given_as_spec_is_an_input_error(capsys):
+    code, out, err = run(capsys, "advise", "--spec", str(CORPUS), "--tss",
+                         "Ccs", "--ext", "CcsExt")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_a_spec_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.sos"
+    bad.write_bytes('# café\n'.encode("latin-1")
+                    + (CORPUS / "ex1.sos").read_bytes())
+    for argv in (["parse-check", str(bad)],
+                 ["check", "fh", "zero", "zero", "--spec", str(bad)],
+                 ["advise", "--spec", str(bad), "--tss", "Ccs",
+                  "--ext", "CcsExt"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: %s: not UTF-8 text" % bad), argv
+
+
+def test_a_malformed_manifest_is_an_input_error(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text('{"fixtures": [')
+    code, out, err = run(capsys, "corpus", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: %s: not valid JSON"
+                          % (tmp_path / "manifest.json"))
