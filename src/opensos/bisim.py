@@ -17,6 +17,7 @@ is sound and Fails always bottoms out in a concretely unmatched ruloid.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .terms import (
@@ -185,41 +186,38 @@ def _refine(succ, rounds: int) -> list[list[int]]:
     return levels
 
 
-def _renumber(levels, order) -> list[list[int]]:
-    """Each level's blocks numbered by first appearance along `order`."""
-    out = []
-    for level in levels:
-        ids: dict[int, int] = {}
-        new = [0] * len(level)
-        for i in order:
-            new[i] = ids.setdefault(level[i], len(ids))
-        out.append(new)
-    return out
-
-
 def _distinguish(p: int, q: int, levels, out, names) -> dict:
-    level = next(i for i, blk in enumerate(levels) if blk[p] != blk[q])
-    prev = levels[level - 1]
+    """A witness that states p and q are not bisimilar.
 
-    def sig(s):
-        return {(l, prev[s2]) for (l, s2) in out[s]}
-
-    for side, a, b in (("left", p, q), ("right", q, p)):
-        extra = sig(a) - sig(b)
-        if not extra:
-            continue
-        l, cls = min(extra)
-        a2 = next(s2 for (l2, s2) in out[a] if l2 == l and prev[s2] == cls)
-        responses = []
-        for (l2, b2) in out[b]:
-            if l2 == l:
-                responses.append(
-                    {"to": names[b2],
-                     "then": _distinguish(a2, b2, levels, out, names)}
-                )
-        return {"side": side, "label": l, "move": names[a2],
-                "from": names[a], "responses": responses}
-    raise AssertionError("states separated without a distinguishing move")
+    At the first level k that splits a pair, the attacker takes the first
+    edge in `out` order (label, then printed target) whose class at level
+    k - 1 no same-label answer reaches, and every answer is split again
+    below k.  Classes are only compared for equality, so the witness does
+    not depend on how blocks are numbered.  Levels only refine, so k is
+    found by bisection; the tree is built from a stack, not by recursion.
+    """
+    root: dict = {}
+    todo = [(root, p, q, len(levels) - 1)]  # a pair and a level splitting it
+    while todo:
+        node, p, q, k = todo.pop()
+        k = bisect_left(range(k), True, 1,
+                        key=lambda i: levels[i][p] != levels[i][q])
+        prev = levels[k - 1]
+        for side, a, b in (("left", p, q), ("right", q, p)):
+            answers = {(l, prev[s]) for (l, s) in out[b]}
+            move = next(((l, s) for (l, s) in out[a]
+                         if (l, prev[s]) not in answers), None)
+            if move:
+                break
+        else:
+            raise AssertionError("states separated without a distinguishing move")
+        l, a2 = move
+        ends = [b2 for (l2, b2) in out[b] if l2 == l]
+        responses = [{"to": names[b2], "then": {}} for b2 in ends]
+        todo.extend((r["then"], a2, b2, k - 1) for r, b2 in zip(responses, ends))
+        node.update({"side": side, "label": l, "move": names[a2],
+                     "from": names[a], "responses": responses})
+    return root
 
 
 def strong_bisim(p: Term, q: Term, tss: Tss,
@@ -270,16 +268,12 @@ def _strong(p: Term, q: Term, tss: Tss, bounds: Bounds,
             classes.setdefault(b, []).append(str(s))
         cert = {"partition": sorted(sorted(c) for c in classes.values())}
         return Verdict(HOLDS, "partition refinement", certificate=cert)
-    # witnesses keep the block numbers of the level-by-level partitions:
-    # first appearance over the states in printed order
     names = [str(s) for s in states]
-    order = sorted(range(len(states)), key=names.__getitem__)
     out = [sorted(edges, key=lambda e: (e[0], names[e[1]])) for edges in succ]
     reason = ("distinguished within depth bound" if cap
               else "distinguished by partition refinement")
     return Verdict(FAILS, reason,
-                   witness=_distinguish(0, qi, _renumber(levels, order),
-                                        out, names))
+                   witness=_distinguish(0, qi, levels, out, names))
 
 
 # ---------------------------------------------------------------------------

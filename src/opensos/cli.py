@@ -40,8 +40,12 @@ def _bounds_from(args) -> Bounds:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    bounds = Bounds(**merged)
-    if min(dataclasses.astuple(bounds)) < 1:
+    return _positive(Bounds(**merged))
+
+
+def _positive(bounds: Bounds) -> Bounds:
+    """`bounds`, if every bound is a positive integer; else an input error."""
+    if not all(type(v) is int and v > 0 for v in dataclasses.astuple(bounds)):
         raise SystemExit("bounds must be positive")
     return bounds
 
@@ -92,14 +96,12 @@ def _load(path: str, extra: str | None = None) -> specio.SpecDocument:
 def _pick_tss(doc: specio.SpecDocument, name: str | None):
     if name is None:
         if not doc.tss_decls:
-            print("error: document declares no TSS", file=sys.stderr)
-            raise SystemExit(INPUT_ERROR)
+            raise SystemExit("document declares no TSS")
         return doc.tss_decls[-1]
     try:
         return doc.tss(name)
     except KeyError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        raise SystemExit(INPUT_ERROR)
+        raise SystemExit(str(exc))
 
 
 def _term(text: str, tss):
@@ -146,8 +148,7 @@ def cmd_extension_check(args) -> int:
     try:
         report = analysis.validate_disjoint_extension(base, ext)
     except analysis.ArityConflictError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return INPUT_ERROR
+        raise SystemExit(str(exc))
     verdict = "disjoint" if report.disjoint else "not-disjoint"
     _emit({"analysis": "extension-check", "tss": [base.name, ext.name],
            "verdict": verdict, "details": list(report.offending)},
@@ -181,8 +182,7 @@ def cmd_transitions(args) -> int:
     try:
         ts = sorted(transitions(t, tss), key=lambda e: (e[0], str(e[1])))
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return INPUT_ERROR
+        raise SystemExit(str(exc))
     payload = {"term": str(t),
                "transitions": [{"label": l, "target": str(q)} for (l, q) in ts]}
     _emit(payload, args.json,
@@ -198,8 +198,7 @@ def cmd_explore(args) -> int:
     try:
         lts = explore(t, tss, bounds.state_cap)
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return INPUT_ERROR
+        raise SystemExit(str(exc))
     edges = sorted(lts.transitions, key=lambda e: (str(e[0]), e[1], str(e[2])))
     payload = {
         "root": str(t),
@@ -227,8 +226,7 @@ def cmd_check(args) -> int:
     try:
         v = check(args.notion, lhs, rhs, tss, bounds)
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return INPUT_ERROR
+        raise SystemExit(str(exc))
     _emit(v.to_json(), args.json,
           ["%s: %s" % (v.kind, v.reason)] if v.reason else [v.kind])
     if v.holds:
@@ -246,8 +244,7 @@ def cmd_fertility(args) -> int:
         result = analysis.initial_fertility(tss, bounds.term_size,
                                             force=args.force)
     except analysis.LabelGuardError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return INPUT_ERROR
+        raise SystemExit(str(exc))
     verdict = "fertile" if result.fertile else "unknown-at-bound"
     payload = {
         "analysis": "fertility", "tss": tss.name, "verdict": verdict,
@@ -286,9 +283,8 @@ def cmd_advise(args) -> int:
     axioms = tuple(e for e in doc.equations
                    if e.over in (base.name, ext.name))
     if not axioms:
-        print("error: no equations pinned to %s or %s"
-              % (base.name, ext.name), file=sys.stderr)
-        return INPUT_ERROR
+        raise SystemExit("no equations pinned to %s or %s"
+                         % (base.name, ext.name))
     theory = equations.EquationalTheory(axioms, base)
     bounds = _bounds_from(args)
     report = equations.preservation_advisor(theory, base, ext, args.notion,
@@ -313,8 +309,8 @@ def cmd_advise(args) -> int:
 def _run_fixture(fx: dict, root: Path, bounds: Bounds) -> tuple[str, str]:
     """Returns (expected, actual) labels for one manifest entry."""
     doc = parse(_read(root / fx["spec"]))
-    bounds = dataclasses.replace(bounds, **{
-        k: v for k, v in fx.get("bounds", {}).items() if k in _BOUND_KEYS})
+    bounds = _positive(dataclasses.replace(bounds, **{
+        k: v for k, v in fx.get("bounds", {}).items() if k in _BOUND_KEYS}))
     cmd = fx["command"]
     if cmd == "check":
         tss = doc.tss(fx["tss"])
@@ -345,8 +341,7 @@ def cmd_corpus(args) -> int:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         if not root.is_dir():
-            print("error: no such directory %r" % args.dir, file=sys.stderr)
-            return INPUT_ERROR
+            raise SystemExit("no such directory %r" % args.dir)
         _emit({"fixtures": [], "passed": 0, "failed": 0}, args.json,
               ["0 fixture(s)"])
         return OK
@@ -354,9 +349,18 @@ def cmd_corpus(args) -> int:
         manifest = json.loads(_read(manifest_path))
     except json.JSONDecodeError as exc:
         raise SystemExit("%s: not valid JSON (%s)" % (manifest_path, exc))
+    fixtures = manifest.get("fixtures", []) if isinstance(manifest, dict) else None
+    if not (isinstance(fixtures, list) and all(
+            isinstance(fx, dict) and "name" in fx
+            and isinstance(fx.get("bounds", {}), dict)
+            and all(isinstance(v, str) for k, v in fx.items() if k != "bounds")
+            for fx in fixtures)):
+        raise SystemExit('%s: expected {"fixtures": [...]}, each fixture an '
+                         'object of strings with a "name" and optional '
+                         '"bounds" object' % manifest_path)
     bounds = _bounds_from(args)
     rows = []
-    for fx in sorted(manifest.get("fixtures", []), key=lambda f: f["name"]):
+    for fx in sorted(fixtures, key=lambda f: f["name"]):
         try:
             expected, actual = _run_fixture(fx, root, bounds)
         except (ParseError, KeyError, ValueError, SystemExit) as exc:

@@ -102,14 +102,20 @@ def cases():
            ("strong",))
 
 
-def main() -> int:
-    for label, s, t, tss, bounds, notions in cases():
+def rows(questions):
+    """One JSON line per notion of each of `questions` (as from `cases`)."""
+    for label, s, t, tss, bounds, notions in questions:
         for notion in notions:
             v = check(notion, s, t, tss, bounds)
             row = {"case": label, "notion": notion, "pair": [str(s), str(t)],
                    **v.to_json()}
-            sys.stdout.write(json.dumps(row, sort_keys=True) + "\n")
-            sys.stdout.flush()
+            yield json.dumps(row, sort_keys=True)
+
+
+def main() -> int:
+    for line in rows(cases()):
+        sys.stdout.write(line + "\n")
+        sys.stdout.flush()
     return 0
 
 

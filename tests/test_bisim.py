@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 
@@ -24,7 +25,9 @@ from opensos import (
 )
 from opensos import bisim
 from opensos.bisim import EMPTY, _norm_state
+from opensos.cli import main
 
+import dump_verdicts
 from gen import (random_closed_term, random_extension, random_open_term,
                  random_tss)
 
@@ -120,27 +123,37 @@ def _check_partition(cert, p, q, tss):
 
 def _replay(w, p, q, tss):
     """Every move is a transition, and every same-label answer is refuted."""
-    a, b = (p, q) if w["side"] == "left" else (q, p)
-    assert w["from"] == str(a)
-    assert w["move"] in {str(s) for (l, s) in transitions(a, tss)
-                         if l == w["label"]}
-    answers = sorted(str(s) for (l, s) in transitions(b, tss) if l == w["label"])
-    assert sorted(r["to"] for r in w["responses"]) == answers
-    a2 = parse_term(w["move"], tss)
-    for r in w["responses"]:
-        _replay(r["then"], a2, parse_term(r["to"], tss), tss)
+    todo = [(w, p, q)]
+    while todo:
+        w, p, q = todo.pop()
+        a, b = (p, q) if w["side"] == "left" else (q, p)
+        assert w["from"] == str(a)
+        assert w["move"] in {str(s) for (l, s) in transitions(a, tss)
+                             if l == w["label"]}
+        answers = sorted(str(s) for (l, s) in transitions(b, tss)
+                         if l == w["label"])
+        assert sorted(r["to"] for r in w["responses"]) == answers
+        a2 = parse_term(w["move"], tss)
+        todo.extend((r["then"], a2, parse_term(r["to"], tss))
+                    for r in w["responses"])
 
 
 CAPPED = re.compile(r"state (size |depth )?cap \d+ exceeded; \d+-step bisimilar")
 
 
-def test_strong_certificates_and_witnesses_check_out():
+def _draws():
+    """400 random closed pairs, each with its TSS."""
     rng = random.Random(61)
-    seen = set()
     for _ in range(400):
         tss = random_tss(rng)
         p = random_closed_term(rng, tss, 3)
         q = random_closed_term(rng, tss, 3)
+        yield tss, p, q
+
+
+def test_strong_certificates_and_witnesses_check_out():
+    seen = set()
+    for tss, p, q in _draws():
         for cap in (8, 4):
             v = strong_bisim(p, q, tss, Bounds(depth=4, state_cap=cap))
             seen.add((cap, v.kind, v.reason.split(";")[0]))
@@ -155,6 +168,42 @@ def test_strong_certificates_and_witnesses_check_out():
                 (cap, "fails", "distinguished by partition refinement"),
                 (cap, "fails", "distinguished within depth bound"),
                 (cap, "inconclusive", "state cap %d exceeded" % cap)} <= seen
+
+
+def _shuffled_witness(p, q, tss, bounds, rng):
+    """Strong's witness for p and q, built after the states of the joined
+    LTS are numbered in a random order, which numbers blocks differently."""
+    states, succ, qi = bisim._join(bisim.explore(p, tss, bounds.state_cap),
+                                   bisim.explore(q, tss, bounds.state_cap))
+    n = len(states)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    moved, names = [()] * n, [""] * n
+    for i, edges in enumerate(succ):
+        moved[perm[i]] = [(l, perm[j]) for (l, j) in edges]
+        names[perm[i]] = str(states[i])
+    out = [sorted(edges, key=lambda e: (e[0], names[e[1]])) for edges in moved]
+    return bisim._distinguish(perm[0], perm[qi], bisim._refine(moved, n), out,
+                              names)
+
+
+def test_strong_witnesses_do_not_depend_on_state_numbers():
+    rng = random.Random(7)
+    fails = 0
+    for tss, p, q in _draws():
+        for cap in (8, 4):
+            bounds = Bounds(depth=4, state_cap=cap)
+            v = strong_bisim(p, q, tss, bounds)
+            if v.fails:
+                fails += 1
+                assert _shuffled_witness(p, q, tss, bounds, rng) == v.witness
+    assert fails > 100
+    # two classes escape under one label here, so the choice between them
+    # must not follow block numbers
+    t = parse(PRINTED_ORDER).tss("T")
+    v = strong_bisim(App("p"), App("q"), t)
+    for _ in range(20):
+        assert _shuffled_witness(App("p"), App("q"), t, Bounds(), rng) == v.witness
 
 
 BRANCHING = ('tss T { labels: a; op c0/0; op g0/0; op g1/2; '
@@ -236,11 +285,14 @@ def test_strong_witness_on_par_chains_is_pinned():
     _replay(v.witness, p, q, chains)
 
 
+PRINTED_ORDER = ('tss T { labels: a, b; op p/0; op q/0; op z/0; op n/0; '
+                 'op f/1; rule "p1": |- p -a-> z; rule "p2": |- p -a-> f(n); '
+                 'rule "q": |- q -a-> n; rule "z": |- z -b-> n; '
+                 'rule "fa": |- f(x) -a-> x; rule "fb": |- f(x) -b-> x; }')
+
+
 def test_strong_witness_numbers_classes_in_printed_order():
-    t = parse('tss T { labels: a, b; op p/0; op q/0; op z/0; op n/0; op f/1; '
-              'rule "p1": |- p -a-> z; rule "p2": |- p -a-> f(n); '
-              'rule "q": |- q -a-> n; rule "z": |- z -b-> n; '
-              'rule "fa": |- f(x) -a-> x; rule "fb": |- f(x) -b-> x; }').tss("T")
+    t = parse(PRINTED_ORDER).tss("T")
     # both of p's moves escape q; the attacker takes the move into the class
     # that comes first in printed order (f(n) < z), though exploration
     # reaches z first
@@ -251,6 +303,52 @@ def test_strong_witness_numbers_classes_in_printed_order():
             "side": "left", "label": "a", "from": "f(n)", "move": "n",
             "responses": []}}],
     }
+
+
+def _cycles(*lengths):
+    """Constants ck_i on a-cycles of length k, each with a b-loop at ck_0,
+    and s running its two arguments in lockstep."""
+    ops = " ".join("op c%d_%d/0;" % (k, i) for k in lengths for i in range(k))
+    rules = " ".join('rule "c%d_%d": |- c%d_%d -a-> c%d_%d;'
+                     % (k, i, k, i, k, (i + 1) % k)
+                     for k in lengths for i in range(k))
+    rules += " ".join(' rule "b%d": |- c%d_0 -b-> c%d_0;' % (k, k, k)
+                      for k in lengths)
+    rules += "".join(' rule "s%s": x -%s-> x1, y -%s-> y1 |- '
+                     's(x, y) -%s-> s(x1, y1);' % (l, l, l, l) for l in "ab")
+    return "tss T { labels: a, b; op s/2; %s %s }" % (ops, rules)
+
+
+def test_a_split_after_a_thousand_rounds_has_a_witness(tmp_path, capsys):
+    spec = _cycles(3, 5, 7, 11, 13)
+    t = parse(spec).tss("T")
+    # b is enabled only when every component is at its start, which the
+    # two sides first disagree on after 1 155 a-steps
+    lhs, rhs = ("s(s(s(c3_0, c5_0), c7_0), c11_0)",
+                "s(s(s(c3_0, c5_0), c7_0), c13_0)")
+    p, q = parse_term(lhs, t), parse_term(rhs, t)
+    v = strong_bisim(p, q, t)
+    assert v.reason == "distinguished by partition refinement"
+    depth, w = 0, v.witness
+    while w["responses"]:
+        [r] = w["responses"]
+        depth, w = depth + 1, r["then"]
+    assert depth == 1155
+    _replay(v.witness, p, q, t)
+    (tmp_path / "cycles.sos").write_text(spec)
+    assert main(["check", "strong", lhs, rhs,
+                 "--spec", str(tmp_path / "cycles.sos")]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "fails: distinguished by partition refinement\n", "")
+
+
+def test_the_verdict_dump_runs():
+    lines = list(dump_verdicts.rows(itertools.islice(dump_verdicts.cases(),
+                                                     30)))
+    kinds = {json.loads(line)["verdict"] for line in lines}
+    assert len(lines) >= 30
+    assert kinds <= {"holds", "fails", "inconclusive"}
 
 
 # ---------------------------------------------------------------------------

@@ -277,9 +277,30 @@ def test_a_spec_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
 
 
 def test_a_malformed_manifest_is_an_input_error(tmp_path, capsys):
-    (tmp_path / "manifest.json").write_text('{"fixtures": [')
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"fixtures": [')
     code, out, err = run(capsys, "corpus", str(tmp_path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: %s: not valid JSON"
-                          % (tmp_path / "manifest.json"))
+    assert err.startswith("error: %s: not valid JSON" % manifest)
+    for shape in ([], {"fixtures": 3}, {"fixtures": [3]},
+                  {"fixtures": [{"spec": EX1}]},
+                  {"fixtures": [{"name": "a", "spec": 3}]},
+                  {"fixtures": [{"name": "a", "bounds": []}]}):
+        manifest.write_text(json.dumps(shape))
+        code, out, err = run(capsys, "corpus", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: %s: expected" % manifest), shape
+    # a fixture whose bounds are not positive integers is that fixture's
+    # error; the others still run
+    fixture = {"spec": EX1, "command": "gsos-check", "tss": "Ccs",
+               "expect": "ok"}
+    bounds = {"a": {"pair_cap": "x"}, "b": {"pair_cap": 0},
+              "c": {"pair_cap": 7}}
+    manifest.write_text(json.dumps({"fixtures": [
+        dict(fixture, name=name, bounds=b) for name, b in bounds.items()]}))
+    code, out, err = run(capsys, "corpus", str(tmp_path), "--json")
+    assert (code, err) == (1, "")
+    assert [r["actual"] for r in json.loads(out)["fixtures"]] == [
+        "error: bounds must be positive", "error: bounds must be positive",
+        "ok"]
