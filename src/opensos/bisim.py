@@ -16,6 +16,7 @@ is sound and Fails always bottoms out in a concretely unmatched ruloid.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -132,11 +133,11 @@ def _join(lp: Lts, lq: Lts):
     return states, succ, renum[0]
 
 
-def _refine(succ, rounds: int) -> list[list[int]]:
+def _refine(succ, rounds: int, p: int, q: int) -> list[list[int]]:
     """Naive partition refinement in worklist form: every level k of the
     partition (the k-step bisimilarity classes, as a block number per
-    state) from level 0 up to the coarsest stable partition, or up to
-    level `rounds` if that comes first.
+    state) from level 0 up to the coarsest stable partition, to level
+    `rounds` or to the first level that splits states p and q if earlier.
 
     Rounds are synchronous, so each level is exactly the k-step partition.
     A state's signature (its labels and successor blocks) is recomputed only
@@ -180,6 +181,8 @@ def _refine(succ, rounds: int) -> list[list[int]]:
         if not moved:
             break
         levels.append(block[:])
+        if block[p] != block[q]:
+            break
         dirty = {i for j in moved for i in preds[j]}
         for i in dirty:
             sig[i] = frozenset([(l, block[j]) for (l, j) in succ[i]])
@@ -255,7 +258,7 @@ def _strong(p: Term, q: Term, tss: Tss, bounds: Bounds,
                                       if lts.cap])
     else:
         reach = len(states)  # refinement is stable within n rounds
-    levels = _refine(succ, reach)
+    levels = _refine(succ, reach, 0, qi)
     block = levels[-1]
     if block[0] == block[qi]:
         if cap:
@@ -400,15 +403,6 @@ def _partitions(items: list[str]):
             yield out
 
 
-def _merge_variants(s: Term, t: Term) -> list:
-    names = sorted(vars_of(s) | vars_of(t))
-    variants = dict.fromkeys(
-        _norm_state(_rename(part, s), _rename(part, t), EMPTY)
-        for part in _partitions(names)
-        if any(x != rep for x, rep in part.items()))
-    return sorted(variants, key=_state_key_str)
-
-
 def _group_hyps(hyps) -> dict[tuple[str, str], list[Hyp]]:
     groups: dict[tuple[str, str], list[Hyp]] = {}
     for h in sorted(hyps, key=lambda h: (h.source, h.label, h.target)):
@@ -472,8 +466,9 @@ def _embeddings(cand: Ruloid, gamma):
 
 
 class _Game:
-    """Shared safety-game core, built breadth-first and solved on the fly;
-    the search stops once the root is lost.
+    """Shared safety-game core, built breadth-first from one queue and solved
+    on the fly.  The search ends when the root is lost, the queue is empty
+    or the pair cap fires; a state or ruloid over a cap blocks only Holds.
 
     A state is lost when some obligation has only lost options (an
     obligation with no options at all is an unmatched ruloid) or, in the
@@ -494,6 +489,14 @@ class _Game:
         self.proper = proper
         # the bounds that fired: "pair", "size" and/or "hypothesis"
         self.capped: set[str] = set()
+        self.norms: dict = {}  # raw state -> its normal form, made once
+        self.key = functools.cache(_state_key_str)  # the sort key, made once
+
+    def norm(self, s: Term, t: Term, gamma: frozenset[Hyp]):
+        raw = (s, t, gamma)
+        if raw not in self.norms:
+            self.norms[raw] = _norm_state(s, t, gamma)
+        return self.norms[raw]
 
     def key_size(self, key) -> int:
         s, t, gamma = key
@@ -535,53 +538,46 @@ class _Game:
     def run(self, s: Term, t: Term) -> Verdict:
         if s == t:
             return _identity()
-        root = _norm_state(s, t, EMPTY)
-        seen = {root}  # every state queued
+        root = self.norm(s, t, EMPTY)
+        queue = [root]  # every state queued, in breadth-first order
+        seen = {root}
         lost: dict = {}  # state -> the (description, options) that lost it
         waiting: dict = {}  # state -> [[live options, owner, obligation], ...]
-        built = 0
-        frontier = [root]
-        while frontier and root not in lost:
-            nxt = []
-            for key in frontier:
-                if root in lost:
-                    break
-                if built >= self.pair_cap:
-                    self.capped.add("pair")
-                    break
-                built += 1
-                obs = [[len(o[1]), key, o] for o in self.obligations(key)]
-                for ob in obs:
-                    for opt in ob[2][1]:
-                        if opt in lost:
-                            ob[0] -= 1
-                        else:
-                            waiting.setdefault(opt, []).append(ob)
-                        if opt not in seen:
-                            if self.key_size(opt) > self.SIZE_CAP:
-                                # runaway derivative growth: leave the state
-                                # unexplored; Holds then requires a retry with
-                                # different bounds, Fails stays definitive
-                                self.capped.add("size")
-                                continue
-                            seen.add(opt)
-                            nxt.append(opt)
-                dead = [ob[2] for ob in obs if not ob[0]]
-                if self.proper and not _is_proper(key):
-                    dead.insert(0, ({"improper": self.describe(key)}, None))
-                if not dead:
-                    continue
-                lost[key] = dead[0]
-                spread = [key]
-                for k in spread:
-                    for ob in waiting.pop(k, ()):
-                        ob[0] -= 1
-                        if not ob[0] and ob[1] not in lost:
-                            lost[ob[1]] = ob[2]
-                            spread.append(ob[1])
-            if self.capped:
+        for built, key in enumerate(queue):
+            if root in lost:
                 break
-            frontier = nxt
+            if built >= self.pair_cap:
+                self.capped.add("pair")
+                break
+            obs = [[len(o[1]), key, o] for o in self.obligations(key)]
+            for ob in obs:
+                for opt in ob[2][1]:
+                    if opt in lost:
+                        ob[0] -= 1
+                    else:
+                        waiting.setdefault(opt, []).append(ob)
+                    if opt not in seen:
+                        if self.key_size(opt) > self.SIZE_CAP:
+                            # runaway derivative growth: leave this state
+                            # unexplored and search on; Holds is then out of
+                            # reach at these bounds, Fails stays definitive
+                            self.capped.add("size")
+                            continue
+                        seen.add(opt)
+                        queue.append(opt)
+            dead = [ob[2] for ob in obs if not ob[0]]
+            if self.proper and not _is_proper(key):
+                dead.insert(0, ({"improper": self.describe(key)}, None))
+            if not dead:
+                continue
+            lost[key] = dead[0]
+            spread = [key]
+            for k in spread:
+                for ob in waiting.pop(k, ()):
+                    ob[0] -= 1
+                    if not ob[0] and ob[1] not in lost:
+                        lost[ob[1]] = ob[2]
+                        spread.append(ob[1])
         if root in lost:
             return Verdict(FAILS, "unmatched ruloid",
                            witness=self._witness(root, lost))
@@ -607,7 +603,7 @@ class _Game:
             if not options:  # the unmatched ruloid
                 step["unmatched"] = True
                 break
-            key = min(options, key=_state_key_str)
+            key = options[0]  # the least by `_state_key_str`
         return {"trace": trace}
 
 
@@ -620,13 +616,17 @@ class _FhGame(_Game):
         obligations = []
         for a, b, r, responses in self.challenges(s, t):
             options = {
-                _norm_state(r.target, _rename(emb, r2.target), EMPTY)
+                self.norm(r.target, _rename(emb, r2.target), EMPTY)
                 for r2 in responses if len(r2.hyps) == len(r.hyps)
                 for emb in _embeddings(r2, r.hyps)
             }
             desc = {"from": [str(a), str(b)], "ruloid": str(r)}
-            obligations.append((desc, sorted(options, key=_state_key_str)))
-        for variant in _merge_variants(s, t):
+            obligations.append((desc, sorted(options, key=self.key)))
+        variants = dict.fromkeys(
+            self.norm(_rename(part, s), _rename(part, t), EMPTY)
+            for part in _partitions(sorted(vars_of(s) | vars_of(t)))
+            if any(x != rep for x, rep in part.items()))
+        for variant in sorted(variants, key=self.key):
             obligations.append(
                 ({"from": [str(s), str(t)],
                   "merged-variant": [str(variant[0]), str(variant[1])]},
@@ -667,14 +667,14 @@ class _HpGame(_Game):
                 for r2 in responses:
                     for emb in _embeddings(r2, gamma2):
                         b2 = _rename(emb, r2.target)
-                        options.add(_norm_state(a2, b2, _gc(a2, b2, gamma2)))
+                        options.add(self.norm(a2, b2, _gc(a2, b2, gamma2)))
                 desc = {
                     "from": [str(a), str(b)],
                     "ruloid": str(r),
                     "aligned-gamma": sorted(str(h) for h in merged),
                     "accumulated": sorted(str(h) for h in gamma2),
                 }
-                obligations.append((desc, sorted(options, key=_state_key_str)))
+                obligations.append((desc, sorted(options, key=self.key)))
         return obligations
 
     def describe(self, key):

@@ -183,8 +183,8 @@ def _shuffled_witness(p, q, tss, bounds, rng):
         moved[perm[i]] = [(l, perm[j]) for (l, j) in edges]
         names[perm[i]] = str(states[i])
     out = [sorted(edges, key=lambda e: (e[0], names[e[1]])) for edges in moved]
-    return bisim._distinguish(perm[0], perm[qi], bisim._refine(moved, n), out,
-                              names)
+    levels = bisim._refine(moved, n, perm[0], perm[qi])
+    return bisim._distinguish(perm[0], perm[qi], levels, out, names)
 
 
 def test_strong_witnesses_do_not_depend_on_state_numbers():
@@ -595,8 +595,10 @@ def test_a_state_whose_option_was_lost_before_it_was_built_loses():
 
 def _sweep(game, s, t):
     """Reference solver: build every reachable state through `obligations`,
-    then sweep for lost states until nothing changes.  The verdict kind and
-    certificate, or None when a bound fires."""
+    leaving a state over the size cap unexplored (it is never lost), then
+    sweep for lost states until nothing changes.  The verdict kind and
+    certificate; None when the pair cap fires, or when another bound fired
+    and the root is not lost."""
     root = _norm_state(s, t, EMPTY)
     graph: dict = {}
     todo = [root]
@@ -608,11 +610,11 @@ def _sweep(game, s, t):
             return None
         graph[key] = [opts for _, opts in game.obligations(key)]
         for opts in graph[key]:
-            if any(game.key_size(o) > game.SIZE_CAP for o in opts):
-                return None
-            todo.extend(opts)
-    if game.capped:  # a ruloid over the size or hypothesis cap
-        return None
+            for o in opts:
+                if game.key_size(o) > game.SIZE_CAP:
+                    game.capped.add("size")
+                else:
+                    todo.append(o)
     lost: set = set()
     changed = True
     while changed:
@@ -628,6 +630,8 @@ def _sweep(game, s, t):
                 changed = True
     if root in lost:
         return "fails", None
+    if game.capped:  # a state or ruloid over the size or hypothesis cap
+        return None
     return "holds", game.certificate([k for k in graph if k not in lost])
 
 
@@ -653,3 +657,72 @@ def test_one_pass_solver_agrees_with_the_fixpoint_sweep():
                     (checker.__name__, str(s), str(t))
                 kinds.append(v.kind)
     assert kinds.count("holds") > 50 and kinds.count("fails") > 50
+
+
+GAMES = {fh_bisim: (bisim._FhGame, False), hp_bisim: (bisim._HpGame, False),
+         pfh_bisim: (bisim._FhGame, True), php_bisim: (bisim._HpGame, True)}
+DRAW_173 = ('tss T { labels: a, b; op c0/0; op g0/2; op g1/0; '
+            'rule "r0": |- c0 -b-> g0(g1, g1); '
+            'rule "r1": |- c0 -a-> g0(g0(g1, g1), g0(g1, g1)); '
+            'rule "r2": x1 -b-> y1 |- g0(x0, x1) -b-> g0(x0, y1); '
+            'rule "r3": |- g0(x0, x1) -a-> x1; '
+            'rule "r4": |- g1 -b-> g0(g0(g1, c0), g0(c0, c0)); '
+            'rule "r5": |- g1 -b-> g0(g1, g1); }')
+
+
+def test_a_capped_state_does_not_stop_the_search():
+    # the size cap fires while the root's successors are built; a search that
+    # stops after that level builds 9 states and ends inconclusive, as the
+    # root is lost only through states further down
+    t = parse(DRAW_173).tss("T")
+    p = parse_term("g0(c0, c0)", t)
+    q = parse_term("g0(g0(g0(c0, g1), g0(g1, g1)), "
+                   "g0(g0(g1, c0), g0(g1, c0)))", t)
+    assert strong_bisim(p, q, t).fails
+    for checker in GAMES:
+        for cap in (50, 300, 5000):
+            v = checker(p, q, t, Bounds(pair_cap=cap))
+            assert v.fails, (checker.__name__, cap, v.reason)
+            assert v.witness["trace"][-1]["unmatched"]
+    # the reference builds all 12 932 states within the size cap, so it
+    # needs a larger pair cap; one plain and one proper game suffice
+    for checker in (fh_bisim, php_bisim):
+        game, proper = GAMES[checker]
+        assert _sweep(game(t, 20_000, proper), p, q) == ("fails", None)
+
+
+ITEM3 = ('tss T { labels: a; op c0/0; op g0/1; '
+         'rule "r0": |- c0 -a-> g0(c0); '
+         'rule "r2": |- g0(x0) -a-> g0(g0(x0)); '
+         'rule "r3": x0 -a-> y0 |- g0(x0) -a-> y0; }')
+
+
+def test_each_raw_game_state_is_normalised_once(monkeypatch):
+    item3 = parse(ITEM3).tss("T")
+    norm, key = bisim._norm_state, bisim._state_key_str
+    raw, keyed = [], []
+    monkeypatch.setattr(bisim, "_norm_state",
+                        lambda *a: raw.append(a) or norm(*a))
+    monkeypatch.setattr(bisim, "_state_key_str",
+                        lambda state: keyed.append(state) or key(state))
+    for checker in (fh_bisim, hp_bisim):
+        raw.clear()
+        keyed.clear()
+        v = checker(App("c0"), App("g0", (App("c0"),)), item3,
+                    Bounds(pair_cap=150))
+        assert v.reason == "pair cap 150 reached without closure"
+        assert len(raw) == len(set(raw)) > 150, checker.__name__
+        assert len(keyed) <= 3 * len(raw), checker.__name__
+
+
+def test_refinement_stops_once_the_roots_split(monkeypatch):
+    t = parse(_cycles(3, 5, 7, 11, 13)).tss("T")
+    p = parse_term("s(s(s(c3_0, c5_0), c7_0), c11_0)", t)
+    q = parse_term("s(s(s(c3_0, c5_0), c7_0), c13_0)", t)
+    refine, kept = bisim._refine, []
+    monkeypatch.setattr(bisim, "_refine",
+                        lambda *a: kept.append(refine(*a)) or kept[-1])
+    assert strong_bisim(p, q, t).fails
+    # the roots split at round 1 156; the partition is stable only at
+    # round 2 310
+    assert len(kept[0]) == 1157
