@@ -265,8 +265,8 @@ def conservativity_probe(base: Tss, ext: Tss, size_bound: int
     """
     bad: list[tuple[Term, str]] = []
     for p in enumerate_closed_terms(base.all_signature, size_bound):
-        old = transitions(p, base)
-        new = transitions(p, ext)
+        old = set(transitions(p, base))
+        new = set(transitions(p, ext))
         if old != new:
             bad.append((p, "transitions differ: %s vs %s"
                         % (sorted(map(str, old)), sorted(map(str, new)))))

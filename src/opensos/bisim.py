@@ -80,6 +80,10 @@ class Bounds:
     state_cap: int = 10_000
     pair_cap: int = 5_000
 
+    def __post_init__(self):
+        if not all(type(v) is int and v > 0 for v in vars(self).values()):
+            raise ValueError("bounds must be positive")
+
 
 def _identity() -> Verdict:
     """The verdict on identical terms: the identity relation is a
@@ -91,29 +95,11 @@ def _identity() -> Verdict:
 # strong bisimilarity on closed terms
 
 
-def _expanded(lts: Lts):
-    """The edge lists of the states `lts` expanded in full: all of them,
-    or on a truncated LTS those numbered before the state it cut short."""
-    return lts.succ[:-1] if lts.cap else lts.succ
-
-
-def _horizon(lts: Lts) -> int:
-    """The distance from the root of the state a truncated LTS cut short.
-    States are numbered breadth-first, so every state nearer the root was
-    expanded in full."""
-    dist = [0]
-    for i, edges in enumerate(lts.succ):
-        for (_, j) in edges:
-            if j == len(dist):  # numbered while i was expanded
-                dist.append(dist[i] + 1)
-    return dist[len(lts.succ) - 1]
-
-
 def _join(lp: Lts, lq: Lts):
     """The states of two LTSs numbered once, p's numbers kept, and every
-    state's edges as (label, number) pairs; also q's root number.  Only
-    full expansions count: a state neither LTS expanded in full has no
-    edges."""
+    state's edges as (label, number) pairs; also q's root number.  An LTS
+    holds only full expansions, so a state either LTS expanded gets its
+    complete edge list and any other state has no edges."""
     states = list(lp.states)
     number = {s: i for i, s in enumerate(states)}
     renum = []
@@ -123,10 +109,10 @@ def _join(lp: Lts, lq: Lts):
             i = number[s] = len(states)
             states.append(s)
         renum.append(i)
-    succ = list(_expanded(lp))
-    by_p = len(succ)  # the states p expanded in full are numbered first
+    succ = list(lp.succ)
+    by_p = len(succ)  # the states p expanded are numbered first
     succ += [()] * (len(states) - by_p)
-    for k, edges in enumerate(_expanded(lq)):
+    for k, edges in enumerate(lq.succ):
         i = renum[k]
         if i >= by_p:
             succ[i] = tuple((l, renum[j]) for (l, j) in edges)
@@ -223,26 +209,22 @@ def _distinguish(p: int, q: int, levels, out, names) -> dict:
     return root
 
 
-def strong_bisim(p: Term, q: Term, tss: Tss,
-                 bounds: Bounds = Bounds()) -> Verdict:
+def strong_bisim(p: Term, q: Term, tss: Tss, bounds: Bounds = Bounds(),
+                 certify: bool = True) -> Verdict:
     """Strong bisimilarity of two closed terms, by partition refinement of
     the explored part of their LTSs, decided up to min(depth, horizon)
     steps.
 
     When both LTSs close within the caps the answer is exact: Holds with
-    the partition of all states as certificate, or Fails with a witness
-    built from the k-step partitions.  When a cap truncates an LTS, its
-    horizon is the distance of the state it cut short; every level of the
-    refinement up to `depth` and the horizons is exact for the roots, so a
+    the partition of all states as certificate (none without `certify`),
+    or Fails with a witness built from the k-step partitions.  When a cap
+    truncates an LTS, `explore` records its horizon, the distance of the
+    state it cut short, and keeps the edges of the states it expanded in
+    full, which include every state nearer the root.  So every level of the
+    refinement up to `depth` and the horizons is exact for the roots: a
     split there is a definitive Fails, and otherwise the verdict is
     inconclusive and names the cap.
     """
-    return _strong(p, q, tss, bounds, certify=True)
-
-
-def _strong(p: Term, q: Term, tss: Tss, bounds: Bounds,
-            certify: bool) -> Verdict:
-    """`strong_bisim`; without `certify`, a Holds carries no certificate."""
     if p == q:
         return _identity()
     open_sides = [str(side) for side in (p, q) if not is_closed(side)]
@@ -253,11 +235,9 @@ def _strong(p: Term, q: Term, tss: Tss, bounds: Bounds,
     lq = explore(q, tss, bounds.state_cap)
     states, succ, qi = _join(lp, lq)
     cap = lp.cap or lq.cap
-    if cap:
-        reach = min([bounds.depth] + [_horizon(lts) for lts in (lp, lq)
-                                      if lts.cap])
-    else:
-        reach = len(states)  # refinement is stable within n rounds
+    cuts = [lts.horizon for lts in (lp, lq) if lts.cap]
+    # without a cut, refinement is stable within n rounds
+    reach = min(bounds.depth, *cuts) if cuts else len(states)
     levels = _refine(succ, reach, 0, qi)
     block = levels[-1]
     if block[0] == block[qi]:
@@ -306,7 +286,7 @@ def ci_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
         p, q = apply_subst(sigma, s), apply_subst(sigma, t)
         # an instance that holds builds no certificate; one that fails
         # ends the sweep with its witness
-        inner = _strong(p, q, tss, bounds, certify=False)
+        inner = strong_bisim(p, q, tss, bounds, certify=False)
         count += 1
         if inner.fails:
             witness = {

@@ -40,14 +40,10 @@ def _bounds_from(args) -> Bounds:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    return _positive(Bounds(**merged))
-
-
-def _positive(bounds: Bounds) -> Bounds:
-    """`bounds`, if every bound is a positive integer; else an input error."""
-    if not all(type(v) is int and v > 0 for v in dataclasses.astuple(bounds)):
-        raise SystemExit("bounds must be positive")
-    return bounds
+    try:
+        return Bounds(**merged)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _add_bounds_flags(sub) -> None:
@@ -101,7 +97,7 @@ def _pick_tss(doc: specio.SpecDocument, name: str | None):
     try:
         return doc.tss(name)
     except KeyError as exc:
-        raise SystemExit(str(exc))
+        raise SystemExit(exc.args[0])  # str(exc) would quote the message
 
 
 def _term(text: str, tss):
@@ -308,31 +304,38 @@ def cmd_advise(args) -> int:
 
 def _run_fixture(fx: dict, root: Path, bounds: Bounds) -> tuple[str, str]:
     """Returns (expected, actual) labels for one manifest entry."""
-    doc = parse(_read(root / fx["spec"]))
-    bounds = _positive(dataclasses.replace(bounds, **{
-        k: v for k, v in fx.get("bounds", {}).items() if k in _BOUND_KEYS}))
-    cmd = fx["command"]
+    def need(key: str) -> str:
+        if key not in fx:
+            raise SystemExit("fixture %r has no field %r" % (fx["name"], key))
+        return fx[key]
+
+    doc = parse(_read(root / need("spec")))
+    for key in fx.get("bounds", {}):
+        if key not in _BOUND_KEYS:
+            raise SystemExit("unknown bound %r" % key)
+    bounds = dataclasses.replace(bounds, **fx.get("bounds", {}))
+    cmd, expect = need("command"), need("expect")
     if cmd == "check":
-        tss = doc.tss(fx["tss"])
-        v = check(fx["notion"], parse_term(fx["lhs"], tss),
-                  parse_term(fx["rhs"], tss), tss, bounds)
-        return fx["expect"], v.kind
+        tss = _pick_tss(doc, need("tss"))
+        v = check(need("notion"), parse_term(need("lhs"), tss),
+                  parse_term(need("rhs"), tss), tss, bounds)
+        return expect, v.kind
     if cmd == "gsos-check":
-        report = analysis.validate_positive_gsos(doc.tss(fx["tss"]))
-        return fx["expect"], "ok" if report.ok else "violations"
+        report = analysis.validate_positive_gsos(_pick_tss(doc, need("tss")))
+        return expect, "ok" if report.ok else "violations"
     if cmd == "extension-check":
         report = analysis.validate_disjoint_extension(
-            doc.tss(fx["base"]), doc.tss(fx["ext"]))
-        return fx["expect"], "disjoint" if report.disjoint else "not-disjoint"
+            _pick_tss(doc, need("base")), _pick_tss(doc, need("ext")))
+        return expect, "disjoint" if report.disjoint else "not-disjoint"
     if cmd == "fertility":
-        result = analysis.initial_fertility(doc.tss(fx["tss"]),
+        result = analysis.initial_fertility(_pick_tss(doc, need("tss")),
                                             bounds.term_size)
-        return fx["expect"], "fertile" if result.fertile else "unknown-at-bound"
+        return expect, "fertile" if result.fertile else "unknown-at-bound"
     if cmd == "robust-extension":
         eqs = tuple(doc.equations)
         crit = analysis.robust_extension_criteria(
-            doc.tss(fx["base"]), doc.tss(fx["ext"]), eqs)
-        return fx["expect"], "robust" if crit.robust else "not-robust"
+            _pick_tss(doc, need("base")), _pick_tss(doc, need("ext")), eqs)
+        return expect, "robust" if crit.robust else "not-robust"
     raise ValueError("unknown corpus command %r" % cmd)
 
 

@@ -137,15 +137,22 @@ def ruloids(t: Term, tss: Tss) -> tuple[Ruloid, ...]:
     return cache[t]
 
 
-def transitions(p: Term, tss: Tss) -> frozenset[tuple[str, Term]]:
-    """All derivable transitions of a closed term, computed directly."""
+def transitions(p: Term, tss: Tss) -> tuple[tuple[str, Term], ...]:
+    """All derivable transitions of a closed term, computed directly.
+
+    They come without duplicates in derivation order: the defining rules of
+    p's operator in declaration order, and for each rule the premise
+    choices in argument order, each premise taking its argument's moves in
+    their own derivation order.  No set of terms is iterated, so the order
+    is the same in every process.
+    """
     if not is_closed(p):
         raise ValueError("transitions requires a closed term, got %s" % p)
     cache = tss._memo.setdefault("transitions", {})
     if p in cache:
         return cache[p]
     assert isinstance(p, App)
-    result: set[tuple[str, Term]] = set()
+    result: dict[tuple[str, Term], None] = {}
     for shape in tss.defining_shapes(p.op):
         binding: dict[str, Term] = {
             x: arg for x, arg in zip(shape.source_vars, p.args)
@@ -159,8 +166,8 @@ def transitions(p: Term, tss: Tss) -> frozenset[tuple[str, Term]]:
             env = dict(binding)
             for (ptarget, _), q in zip(choice_lists, combo):
                 env[ptarget] = q
-            result.add((shape.label, apply_subst(env, shape.target)))
-    cache[p] = frozenset(result)
+            result.setdefault((shape.label, apply_subst(env, shape.target)))
+    cache[p] = tuple(result)
     return cache[p]
 
 
@@ -172,17 +179,20 @@ def initial_actions(p: Term, tss: Tss) -> frozenset[str]:
 class Lts:
     """A reachable LTS with its states numbered in breadth-first order.
 
-    `states[0]` is the root; `succ[i]` lists state i's edges as
-    (label, state number) pairs in `succ_key` order.  `cap` names the bound
-    that refused a state, None when the LTS is complete.  A truncated LTS
-    holds only the states numbered before the refusal: the state being
-    expanded then keeps the edges found so far, and the states after it
-    have no entry in `succ` (they were never expanded).
+    `states[0]` is the root; `succ[i]` is state i's complete edge list, as
+    (label, state number) pairs in `transitions` order.  `cap` names the
+    bound that refused a state, None when the LTS is complete.  A truncated
+    LTS keeps only full expansions: `succ` stops before the state whose
+    expansion the cap cut short, `states` holds the states their edges
+    reach, and `horizon` is the cut state's distance from the root.  States
+    are numbered breadth-first, so every state nearer the root than the
+    horizon is expanded.
     """
 
     states: tuple[Term, ...]
     succ: tuple[tuple[tuple[str, int], ...], ...]
     cap: str | None = None
+    horizon: int | None = None
 
     @property
     def complete(self) -> bool:
@@ -200,38 +210,33 @@ STATE_SIZE_CAP = 1000  # derivatives can outgrow any state cap on copying rules
 STATE_DEPTH_CAP = 120  # keeps recursive traversals well inside stack limits
 
 
-def succ_key(e: tuple[str, Term]):
-    """Deterministic sort key for (label, target) pairs that never prints
-    oversized terms; ties among terms beyond the size cap don't matter
-    because those terms are pruned from every search."""
-    l, t = e
-    s = term_size(t)
-    return (l, s, str(t) if s <= STATE_SIZE_CAP else "")
-
-
 def explore(p: Term, tss: Tss, state_cap: int = 10_000) -> Lts:
-    """The LTS reachable from the closed term p, explored breadth-first.
+    """The LTS reachable from the closed term p, explored breadth-first,
+    each state's successors numbered in `transitions` order.
 
     Exploration stops at the first new state that a bound refuses: the
     state cap (the number of states), `STATE_SIZE_CAP` (operator nodes of
     one state) or `STATE_DEPTH_CAP` (its nesting depth).  The result then
-    names that bound in `cap`; otherwise it is complete.  A truncated LTS
-    is incomplete whichever state is refused first, so stopping there loses
-    nothing a caller could decide from it.
+    names that bound in `cap`, drops the partial edge list of the state
+    being expanded and the states only that list reached, and records that
+    state's distance as `horizon`; otherwise it is complete.  A truncated
+    LTS is incomplete whichever state is refused first, so stopping there
+    loses nothing a caller could decide from it.
     """
     number = {p: 0}
     states = [p]
     succ: list[tuple[tuple[str, int], ...]] = []
-    cap = None
-    for s in states:  # grows while it is walked: a breadth-first queue
-        moves = transitions(s, tss)
-        if len(moves) > 1:
-            moves = sorted(moves, key=succ_key)
+    level, level_end = 0, 1  # state i's distance; the next level's first state
+    for i, s in enumerate(states):  # grows while walked: a breadth-first queue
+        if i == level_end:
+            level, level_end = level + 1, len(states)
+        known = len(states)  # the states reached before s is expanded
         edges = []
-        for (l, q) in moves:
+        for (l, q) in transitions(s, tss):
             j = number.get(q)
             if j is None:
                 j = len(states)
+                cap = None
                 if j >= state_cap:
                     cap = "state cap %d" % state_cap
                 elif q.size > STATE_SIZE_CAP:
@@ -239,22 +244,23 @@ def explore(p: Term, tss: Tss, state_cap: int = 10_000) -> Lts:
                 elif q.depth > STATE_DEPTH_CAP:
                     cap = "state depth cap %d" % STATE_DEPTH_CAP
                 if cap:
-                    break
+                    return Lts(tuple(states[:known]), tuple(succ), cap,
+                               level)
                 number[q] = j
                 states.append(q)
             edges.append((l, j))
         succ.append(tuple(edges))
-        if cap:
-            break
-    return Lts(tuple(states), tuple(succ), cap)
+    return Lts(tuple(states), tuple(succ))
 
 
 def instantiations(r: Ruloid, sigma: Subst, tss: Tss
                    ) -> tuple[tuple[str, Term], ...]:
-    """All closed conclusion instances of r under a closing substitution.
+    """All closed conclusion instances of r under a closing substitution,
+    without duplicates and in derivation order.
 
     Each hypothesis x -l-> h is discharged by any derivable transition of
-    sigma(x) with label l; the targets extend sigma over the h variables.
+    sigma(x) with label l, in `transitions` order; the targets extend sigma
+    over the h variables.
     """
     src = apply_subst(sigma, r.source)
     if not is_closed(src):
@@ -265,19 +271,17 @@ def instantiations(r: Ruloid, sigma: Subst, tss: Tss
         source = sigma.get(h.source)
         if source is None or not is_closed(source):
             raise ValueError("substitution is not closing for %s" % r.source)
-        succ = sorted(
-            (q for (l, q) in transitions(source, tss) if l == h.label), key=str
-        )
+        succ = [q for (l, q) in transitions(source, tss) if l == h.label]
         if not succ:
             return ()
         choice_lists.append(succ)
-    out: set[tuple[str, Term]] = set()
+    out: dict[tuple[str, Term], None] = {}
     for combo in itertools.product(*choice_lists):
         env = dict(sigma)
         for h, q in zip(hyps, combo):
             env[h.target] = q
-        out.add((r.label, apply_subst(env, r.target)))
-    return tuple(sorted(out, key=lambda e: (e[0], str(e[1]))))
+        out.setdefault((r.label, apply_subst(env, r.target)))
+    return tuple(out)
 
 
 def instantiate_ruloid(r: Ruloid, sigma: Subst, tss: Tss

@@ -59,7 +59,7 @@ def test_criterion_1_choice_axioms(capsys, corpus_docs):
         ccs, ext = doc.tss("Ccs"), doc.tss("CcsExt")
         p = parse_term("plus(zero, pre_a(zero))", ccs)
         assert ("a", App("zero")) in transitions(p, ccs)
-        assert transitions(App("zero"), ccs) == frozenset()
+        assert transitions(App("zero"), ccs) == ()
 
         theory = EquationalTheory(tuple(doc.equations), ccs)
         bounds = Bounds(term_size=3)

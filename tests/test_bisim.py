@@ -14,6 +14,7 @@ from opensos import (
     ci_bisim,
     enumerate_closed_terms,
     enumerate_open_terms,
+    explore,
     fh_bisim,
     hp_bisim,
     parse,
@@ -168,6 +169,31 @@ def test_strong_certificates_and_witnesses_check_out():
                 (cap, "fails", "distinguished by partition refinement"),
                 (cap, "fails", "distinguished within depth bound"),
                 (cap, "inconclusive", "state cap %d exceeded" % cap)} <= seen
+
+
+def test_a_truncated_lts_keeps_only_full_expansions():
+    truncated = 0
+    for tss, p, q in _draws():
+        for root, cap in itertools.product((p, q), (4, 8)):
+            lts = explore(root, tss, cap)
+            # every edge list is the state's full `transitions`, in order
+            for s, edges in zip(lts.states, lts.succ):
+                assert [(l, lts.states[j]) for (l, j) in edges] == list(
+                    transitions(s, tss))
+            if lts.complete:
+                assert (len(lts.succ), lts.horizon) == (len(lts.states), None)
+                continue
+            truncated += 1
+            dist = {0: 0}  # breadth-first distances along the kept edges
+            for i, edges in enumerate(lts.succ):
+                for (_, j) in edges:
+                    dist.setdefault(j, dist[i] + 1)
+            # every state is reached along a kept edge
+            assert sorted(dist) == list(range(len(lts.states)))
+            assert dist[len(lts.succ)] == lts.horizon
+            assert all(i < len(lts.succ) for i, d in dist.items()
+                       if d < lts.horizon)
+    assert truncated > 50
 
 
 def _shuffled_witness(p, q, tss, bounds, rng):

@@ -1,13 +1,15 @@
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 
 import pytest
 
 from opensos.cli import main
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 
 
 def run(capsys, *argv):
@@ -296,11 +298,80 @@ def test_a_malformed_manifest_is_an_input_error(tmp_path, capsys):
     fixture = {"spec": EX1, "command": "gsos-check", "tss": "Ccs",
                "expect": "ok"}
     bounds = {"a": {"pair_cap": "x"}, "b": {"pair_cap": 0},
-              "c": {"pair_cap": 7}}
+              "c": {"pair_cap": 7}, "d": {"paircap": 3}}
     manifest.write_text(json.dumps({"fixtures": [
         dict(fixture, name=name, bounds=b) for name, b in bounds.items()]}))
     code, out, err = run(capsys, "corpus", str(tmp_path), "--json")
     assert (code, err) == (1, "")
     assert [r["actual"] for r in json.loads(out)["fixtures"]] == [
         "error: bounds must be positive", "error: bounds must be positive",
-        "ok"]
+        "ok", "error: unknown bound 'paircap'"]
+
+
+def test_a_missing_name_is_named_plainly(tmp_path, capsys):
+    for argv in (["check", "fh", "zero", "zero", "--spec", EX1,
+                  "--tss", "Nope"],
+                 ["extension-check", EX1, "--base", "Nope", "--ext", "CcsExt"],
+                 ["extension-check", EX1, "--base", "Ccs", "--ext", "Nope"],
+                 ["advise", "--spec", EX1, "--tss", "Ccs", "--ext", "Nope"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: no TSS named 'Nope'\n"), argv
+    # in corpus rows too; a fixture without a field its command reads
+    # names the fixture and the field
+    fixture = {"spec": EX1, "command": "gsos-check", "expect": "ok"}
+    (tmp_path / "manifest.json").write_text(json.dumps({"fixtures": [
+        dict(fixture, name="a", tss="Nope"),
+        dict(fixture, name="b"),
+        dict(fixture, name="c", command="extension-check", base="Ccs")]}))
+    code, out, err = run(capsys, "corpus", str(tmp_path), "--json")
+    assert (code, err) == (1, "")
+    assert [r["actual"] for r in json.loads(out)["fixtures"]] == [
+        "error: no TSS named 'Nope'", "error: fixture 'b' has no field 'tss'",
+        "error: fixture 'c' has no field 'ext'"]
+
+
+BRANCHING_Z = ('tss T { labels: a; op c0/0; op g0/0; op g1/2; op z/0; '
+               'rule "r0": |- c0 -a-> g1(g0, g0); rule "r1": |- c0 -a-> g0; '
+               'rule "r2": |- g0 -a-> g1(g0, c0); '
+               'rule "r3": |- g0 -a-> g1(g1(c0, g0), g1(c0, c0)); '
+               'rule "r4": x0 -a-> y0, x1 -a-> y1 |- '
+               'g1(x0, x1) -a-> g1(y0, y1); '
+               'rule "r5": x0 -a-> y0 |- g1(x0, x1) -a-> g0; }')
+ITEM3 = ('tss T { labels: a; op c0/0; op g0/1; '
+         'rule "r0": |- c0 -a-> g0(c0); '
+         'rule "r2": |- g0(x0) -a-> g0(g0(x0)); '
+         'rule "r3": x0 -a-> y0 |- g0(x0) -a-> y0; }')
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # terms hash by identity and strings by a per-process seed, so only a
+    # fresh interpreter shows a set iterated where order matters
+    (tmp_path / "branching.sos").write_text(BRANCHING_Z)
+    (tmp_path / "item3.sos").write_text(ITEM3)
+    commands = [
+        # the branching spec with a dead constant added, so pairs can fail:
+        # a witness out of a truncated LTS
+        ["check", "strong", "g1(g0, z)", "g1(z, g0)", "--json",
+         "--spec", str(tmp_path / "branching.sos"), "--state-cap", "40"],
+        ["explore", "c0", "--json", "--spec", str(tmp_path / "item3.sos"),
+         "--state-cap", "7"],
+        ["check", "ci", "plus(x, y)", "zero", "--json", "--spec", EX5,
+         "--tss", "ChoiceA", "--term-size", "2"],
+        ["corpus", str(CORPUS), "--json"],
+    ]
+    script = ("from opensos.cli import main\n"
+              "for argv in %r:\n    print('exit', main(argv))\n" % commands)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                               if os.environ.get("PYTHONPATH") else [])))
+    outs = []
+    for seed in ("0", "1"):
+        done = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                              env=dict(env, PYTHONHASHSEED=seed),
+                              capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, ""), seed
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert [line for line in outs[0].splitlines()
+            if line.startswith("exit")] == ["exit 1", "exit 3", "exit 1",
+                                            "exit 0"]

@@ -62,9 +62,27 @@ def test_transitions_examples(corpus_tsss):
     ccs = corpus_tsss["Ccs"]
     p = parse_term("plus(zero, pre_a(zero))", ccs)
     assert ("a", App("zero")) in transitions(p, ccs)
-    assert transitions(App("zero"), ccs) == frozenset()
+    assert transitions(App("zero"), ccs) == ()
     rep = corpus_tsss["Rep"]
-    assert transitions(App("aomega"), rep) == frozenset({("a", App("aomega"))})
+    assert transitions(App("aomega"), rep) == (("a", App("aomega")),)
+
+
+def test_transitions_come_in_derivation_order_without_duplicates():
+    t = parse('tss T { labels: a, b; op c/0; op d/0; op e/0; op f/2; '
+              'rule "ce": |- c -a-> e; rule "cd": |- c -a-> d; '
+              'rule "again": |- c -a-> e; '
+              'rule "fb": |- f(x, y) -b-> x; '
+              'rule "fa": x -a-> x2, y -a-> y2 |- f(x, y) -a-> f(x2, y2); '
+              'rule "diag": x -a-> x2 |- f(x, y) -a-> f(x2, x2); }').tss("T")
+    c, d, e = App("c"), App("d"), App("e")
+    # declaration order, not label or printed order; the repeat is dropped
+    assert transitions(c, t) == (("a", e), ("a", d))
+    # rules in declaration order; premise choices in argument order, each
+    # argument's moves in their own order; "diag" derives nothing new
+    assert transitions(App("f", (c, c)), t) == (
+        ("b", c),
+        ("a", App("f", (e, e))), ("a", App("f", (e, d))),
+        ("a", App("f", (d, e))), ("a", App("f", (d, d))))
 
 
 def test_transitions_requires_closed_term(corpus_tsss):
@@ -98,6 +116,9 @@ def test_explore_cap_marks_incomplete():
     lts = explore(App("c"), t, 5)
     assert not lts.complete
     assert len(lts.states) == 5
+    # s(s(s(s(c)))), four steps out, was cut short: only the four states
+    # before it keep their edges
+    assert (len(lts.succ), lts.horizon) == (4, 4)
 
 
 def test_instantiate_ruloid_discharges_hypotheses():
