@@ -362,27 +362,6 @@ def _gc(s: Term, t: Term, gamma: frozenset[Hyp]) -> frozenset[Hyp]:
     return frozenset(h for h in gamma if h.source in live or h.target in live)
 
 
-def _partitions(items: list[str]):
-    """All set partitions, as maps item -> representative (first of block)."""
-    if not items:
-        yield {}
-        return
-    first, rest = items[0], items[1:]
-    for sub in _partitions(rest):
-        blocks: dict[str, list[str]] = {}
-        for x, rep in sub.items():
-            blocks.setdefault(rep, []).append(x)
-        # first in its own block
-        out = dict(sub)
-        out[first] = first
-        yield out
-        # first joined to an existing block (representative stays minimal-first)
-        for rep in sorted(blocks):
-            out = {x: (first if r == rep else r) for x, r in sub.items()}
-            out[first] = first
-            yield out
-
-
 def _group_hyps(hyps) -> dict[tuple[str, str], list[Hyp]]:
     groups: dict[tuple[str, str], list[Hyp]] = {}
     for h in sorted(hyps, key=lambda h: (h.source, h.label, h.target)):
@@ -602,10 +581,12 @@ class _FhGame(_Game):
             }
             desc = {"from": [str(a), str(b)], "ruloid": str(r)}
             obligations.append((desc, sorted(options, key=self.key)))
+        # closed under merging each pair of variables is closed under every
+        # merge, since a merge is a sequence of pairwise ones
+        names = sorted(vars_of(s) | vars_of(t))
         variants = dict.fromkeys(
-            self.norm(_rename(part, s), _rename(part, t), EMPTY)
-            for part in _partitions(sorted(vars_of(s) | vars_of(t)))
-            if any(x != rep for x, rep in part.items()))
+            self.norm(_rename({y: x}, s), _rename({y: x}, t), EMPTY)
+            for x, y in itertools.combinations(names, 2))
         for variant in sorted(variants, key=self.key):
             obligations.append(
                 ({"from": [str(s), str(t)],

@@ -1,7 +1,8 @@
 """Command-line front end binding the parser, analyses and checkers.
 
-Exit codes: 0 holds/ok, 1 fails/criteria-not-met, 2 input error,
-3 inconclusive-at-bound.
+Each subcommand asks one question of a spec document; a corpus fixture
+asks the question of the subcommand it names.  Exit codes: 0 holds/ok,
+1 fails/criteria-not-met, 2 input error, 3 inconclusive-at-bound.
 """
 from __future__ import annotations
 
@@ -76,7 +77,7 @@ def _read(path) -> str:
         raise SystemExit("%s: not UTF-8 text (%s)" % (path, exc))
 
 
-def _load(path: str, extra: str | None = None) -> specio.SpecDocument:
+def _load(path: str | Path, extra: str | None = None) -> specio.SpecDocument:
     """The spec document at `path`, followed by the declarations in the
     file `extra` if given."""
     text = _read(path)
@@ -85,8 +86,7 @@ def _load(path: str, extra: str | None = None) -> specio.SpecDocument:
     try:
         return parse(text)
     except (ParseError, SignatureError) as exc:
-        print("%s: %s" % (path, exc), file=sys.stderr)
-        raise SystemExit(INPUT_ERROR)
+        raise SystemExit("%s: %s" % (path, exc))
 
 
 def _pick_tss(doc: specio.SpecDocument, name: str | None):
@@ -104,97 +104,82 @@ def _term(text: str, tss):
     try:
         return parse_term(text, tss)
     except ParseError as exc:
-        print("term %r: %s" % (text, exc), file=sys.stderr)
-        raise SystemExit(INPUT_ERROR)
+        raise SystemExit("term %r: %s" % (text, exc))
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# questions: q_<name>(doc, a, bounds) -> (verdict, payload, lines), where `a`
+# is the parsed flags or a corpus fixture read as flags
 
 
-def cmd_parse_check(args) -> int:
-    doc = _load(args.file)
-    _emit(doc.to_json(), args.json,
-          ["parsed %d TSS declaration(s), %d equation(s)"
-           % (len(doc.tss_decls), len(doc.equations))])
-    return OK
+def q_parse_check(doc, a, bounds):
+    return "ok", doc.to_json(), [
+        "parsed %d TSS declaration(s), %d equation(s)"
+        % (len(doc.tss_decls), len(doc.equations))]
 
 
-def cmd_gsos_check(args) -> int:
-    doc = _load(args.file)
-    targets = [_pick_tss(doc, args.tss)] if args.tss else doc.tss_decls
-    details = []
-    for t in targets:
-        report = analysis.validate_positive_gsos(t)
-        for rule, why in report.violations:
-            details.append({"tss": t.name, "rule": rule, "violation": why})
-    verdict = "ok" if not details else "violations"
-    _emit({"analysis": "gsos-check", "tss": [t.name for t in targets],
-           "verdict": verdict, "details": details},
-          args.json,
-          ["%s" % verdict] + ["%s: rule %r: %s" % (d["tss"], d["rule"], d["violation"])
-                              for d in details])
-    return OK if not details else FAIL
+def q_gsos_check(doc, a, bounds):
+    targets = [_pick_tss(doc, a.tss)] if a.tss else doc.tss_decls
+    details = [{"tss": t.name, "rule": rule, "violation": why}
+               for t in targets
+               for rule, why in analysis.validate_positive_gsos(t).violations]
+    verdict = "violations" if details else "ok"
+    payload = {"analysis": "gsos-check", "tss": [t.name for t in targets],
+               "verdict": verdict, "details": details}
+    return verdict, payload, [verdict] + [
+        "%s: rule %r: %s" % (d["tss"], d["rule"], d["violation"])
+        for d in details]
 
 
-def cmd_extension_check(args) -> int:
-    doc = _load(args.file)
-    base = _pick_tss(doc, args.base)
-    ext = _pick_tss(doc, args.ext)
-    try:
-        report = analysis.validate_disjoint_extension(base, ext)
-    except analysis.ArityConflictError as exc:
-        raise SystemExit(str(exc))
+def q_extension_check(doc, a, bounds):
+    base, ext = _pick_tss(doc, a.base), _pick_tss(doc, a.ext)
+    report = analysis.validate_disjoint_extension(base, ext)
     verdict = "disjoint" if report.disjoint else "not-disjoint"
-    _emit({"analysis": "extension-check", "tss": [base.name, ext.name],
-           "verdict": verdict, "details": list(report.offending)},
-          args.json,
-          [verdict] + ["rule %r defines a base operator" % r
-                       for r in report.offending])
-    return OK if report.disjoint else FAIL
+    payload = {"analysis": "extension-check", "tss": [base.name, ext.name],
+               "verdict": verdict, "details": list(report.offending)}
+    return verdict, payload, [verdict] + [
+        "rule %r defines a base operator" % r for r in report.offending]
 
 
-def cmd_ruloids(args) -> int:
-    doc = _load(args.spec)
-    tss = _pick_tss(doc, args.tss)
-    t = _term(args.term, tss)
+def q_robust_extension(doc, a, bounds):
+    base, ext = _pick_tss(doc, a.base), _pick_tss(doc, a.ext)
+    crit = analysis.robust_extension_criteria(base, ext, tuple(doc.equations))
+    verdict = "robust" if crit.robust else "not-robust"
+    details = (
+        ["rule %r defines a base operator" % r for r in crit.offending_rules]
+        + ([] if crit.base_gsos_ok else ["the base is not positive GSOS"])
+        + ["equation %r is not proper" % e for e in crit.improper_equations]
+        + ["the extension concludes base premise label %r" % label
+           for label in crit.label_overlap])
+    payload = {"analysis": "robust-extension", "tss": [base.name, ext.name],
+               "verdict": verdict, "details": details}
+    return verdict, payload, [verdict] + details
+
+
+def q_ruloids(doc, a, bounds):
+    tss = _pick_tss(doc, a.tss)
+    t = _term(a.term, tss)
     rs = ruloids(t, tss)
-    payload = {
-        "term": str(t),
-        "ruloids": [
-            {"hyps": [str(h) for h in r.hyps_sorted()],
-             "label": r.label, "target": str(r.target)}
-            for r in rs
-        ],
-    }
-    _emit(payload, args.json, [str(r) for r in rs] or ["(no ruloids)"])
-    return OK
+    payload = {"term": str(t), "ruloids": [
+        {"hyps": [str(h) for h in r.hyps_sorted()], "label": r.label,
+         "target": str(r.target)} for r in rs]}
+    return "ok", payload, [str(r) for r in rs] or ["(no ruloids)"]
 
 
-def cmd_transitions(args) -> int:
-    doc = _load(args.spec)
-    tss = _pick_tss(doc, args.tss)
-    t = _term(args.term, tss)
-    try:
-        ts = sorted(transitions(t, tss), key=lambda e: (e[0], str(e[1])))
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+def q_transitions(doc, a, bounds):
+    tss = _pick_tss(doc, a.tss)
+    t = _term(a.term, tss)
+    ts = sorted(transitions(t, tss), key=lambda e: (e[0], str(e[1])))
     payload = {"term": str(t),
                "transitions": [{"label": l, "target": str(q)} for (l, q) in ts]}
-    _emit(payload, args.json,
-          ["%s -%s-> %s" % (t, l, q) for (l, q) in ts] or ["(no transitions)"])
-    return OK
+    return "ok", payload, (["%s -%s-> %s" % (t, l, q) for (l, q) in ts]
+                           or ["(no transitions)"])
 
 
-def cmd_explore(args) -> int:
-    doc = _load(args.spec)
-    tss = _pick_tss(doc, args.tss)
-    t = _term(args.term, tss)
-    bounds = _bounds_from(args)
-    try:
-        lts = explore(t, tss, bounds.state_cap)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+def q_explore(doc, a, bounds):
+    tss = _pick_tss(doc, a.tss)
+    t = _term(a.term, tss)
+    lts = explore(t, tss, bounds.state_cap)
     edges = sorted(lts.transitions, key=lambda e: (str(e[0]), e[1], str(e[2])))
     payload = {
         "root": str(t),
@@ -205,42 +190,23 @@ def cmd_explore(args) -> int:
     }
     if not lts.complete:
         payload["cap"] = lts.cap
-    _emit(payload, args.json,
-          ["%d state(s), %d transition(s), %s"
-           % (len(lts.states), len(edges),
-              "complete" if lts.complete else "truncated at " + lts.cap)]
-          + ["%s -%s-> %s" % (p, l, q) for (p, l, q) in edges])
-    return OK if lts.complete else INCONCLUSIVE_AT_BOUND
+    return "complete" if lts.complete else "truncated", payload, (
+        ["%d state(s), %d transition(s), %s"
+         % (len(lts.states), len(edges),
+            "complete" if lts.complete else "truncated at " + lts.cap)]
+        + ["%s -%s-> %s" % (p, l, q) for (p, l, q) in edges])
 
 
-def cmd_check(args) -> int:
-    doc = _load(args.spec)
-    tss = _pick_tss(doc, args.tss)
-    lhs = _term(args.lhs, tss)
-    rhs = _term(args.rhs, tss)
-    bounds = _bounds_from(args)
-    try:
-        v = check(args.notion, lhs, rhs, tss, bounds)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    _emit(v.to_json(), args.json,
-          ["%s: %s" % (v.kind, v.reason)] if v.reason else [v.kind])
-    if v.holds:
-        return OK
-    if v.fails:
-        return FAIL
-    return INCONCLUSIVE_AT_BOUND
+def q_check(doc, a, bounds):
+    tss = _pick_tss(doc, a.tss)
+    v = check(a.notion, _term(a.lhs, tss), _term(a.rhs, tss), tss, bounds)
+    return v.kind, v.to_json(), (["%s: %s" % (v.kind, v.reason)] if v.reason
+                                 else [v.kind])
 
 
-def cmd_fertility(args) -> int:
-    doc = _load(args.spec)
-    tss = _pick_tss(doc, args.tss)
-    bounds = _bounds_from(args)
-    try:
-        result = analysis.initial_fertility(tss, bounds.term_size,
-                                            force=args.force)
-    except analysis.LabelGuardError as exc:
-        raise SystemExit(str(exc))
+def q_fertility(doc, a, bounds):
+    tss = _pick_tss(doc, a.tss)
+    result = analysis.initial_fertility(tss, bounds.term_size, force=a.force)
     verdict = "fertile" if result.fertile else "unknown-at-bound"
     payload = {
         "analysis": "fertility", "tss": tss.name, "verdict": verdict,
@@ -249,94 +215,102 @@ def cmd_fertility(args) -> int:
                       for (ls, p) in result.witnesses],
         "missing": [list(m) for m in result.missing],
     }
-    _emit(payload, args.json,
-          [verdict]
-          + ["{%s} realized by %s" % (", ".join(ls), p)
-             for (ls, p) in result.witnesses]
-          + ["{%s} unrealized at bound %d" % (", ".join(m), result.bound)
-             for m in result.missing])
-    return OK if result.fertile else INCONCLUSIVE_AT_BOUND
+    return verdict, payload, (
+        [verdict]
+        + ["{%s} realized by %s" % (", ".join(ls), p)
+           for (ls, p) in result.witnesses]
+        + ["{%s} unrealized at bound %d" % (", ".join(m), result.bound)
+           for m in result.missing])
 
 
-def cmd_non_evolving(args) -> int:
-    doc = _load(args.spec)
-    tss = _pick_tss(doc, args.tss)
+def q_non_evolving(doc, a, bounds):
+    tss = _pick_tss(doc, a.tss)
     table = analysis.non_evolving_indices(tss)
-    payload = {
-        "analysis": "non-evolving", "tss": tss.name,
-        "indices": {op: list(idxs) for op, idxs in table.indices},
-    }
-    _emit(payload, args.json,
-          ["%s: %s" % (op, ", ".join(map(str, idxs)) if idxs else "(none)")
-           for op, idxs in table.indices])
-    return OK
+    payload = {"analysis": "non-evolving", "tss": tss.name,
+               "indices": {op: list(idxs) for op, idxs in table.indices}}
+    return "ok", payload, [
+        "%s: %s" % (op, ", ".join(map(str, idxs)) if idxs else "(none)")
+        for op, idxs in table.indices]
 
 
-def cmd_advise(args) -> int:
-    doc = _load(args.spec, args.eqs)
-    base = _pick_tss(doc, args.tss)
-    ext = _pick_tss(doc, args.ext)
+def q_advise(doc, a, bounds):
+    base, ext = _pick_tss(doc, a.tss), _pick_tss(doc, a.ext)
     axioms = tuple(e for e in doc.equations
                    if e.over in (base.name, ext.name))
     if not axioms:
         raise SystemExit("no equations pinned to %s or %s"
                          % (base.name, ext.name))
     theory = equations.EquationalTheory(axioms, base)
-    bounds = _bounds_from(args)
-    report = equations.preservation_advisor(theory, base, ext, args.notion,
+    report = equations.preservation_advisor(theory, base, ext, a.notion,
                                             bounds)
     lines = []
-    for a in report.axioms:
-        note = " via %s" % a.theorem if a.theorem else ""
-        if a.classification == equations.BROKEN and a.soundness_on_base.fails:
+    for ax in report.axioms:
+        note = " via %s" % ax.theorem if ax.theorem else ""
+        if ax.classification == equations.BROKEN and ax.soundness_on_base.fails:
             # an axiom unsound on the base is not broken by the extension
             note = " (fails on the base already)"
         lines.append("%s: %s%s" % (
-            a.equation.name or str(a.equation), a.classification, note))
-    _emit(report.to_json(), args.json, lines)
-    return FAIL if any(a.classification == equations.BROKEN
-                       for a in report.axioms) else OK
+            ax.equation.name or str(ax.equation), ax.classification, note))
+    broken = any(ax.classification == equations.BROKEN for ax in report.axioms)
+    return equations.BROKEN if broken else "ok", report.to_json(), lines
+
+
+QUESTIONS = {
+    "parse-check": q_parse_check, "gsos-check": q_gsos_check,
+    "extension-check": q_extension_check,
+    "robust-extension": q_robust_extension, "ruloids": q_ruloids,
+    "transitions": q_transitions, "explore": q_explore, "check": q_check,
+    "fertility": q_fertility, "non-evolving": q_non_evolving,
+    "advise": q_advise,
+}
+
+# the exit code of a verdict; every other verdict exits OK
+_EXIT = {"fails": FAIL, "violations": FAIL, "not-disjoint": FAIL,
+         "not-robust": FAIL, equations.BROKEN: FAIL,
+         "inconclusive": INCONCLUSIVE_AT_BOUND,
+         "unknown-at-bound": INCONCLUSIVE_AT_BOUND,
+         "truncated": INCONCLUSIVE_AT_BOUND}
+
+
+def _run(question, args) -> int:
+    """One subcommand: its spec, its bounds (only a subcommand with bound
+    flags reads OPENSOS_BOUNDS), its output and its exit code."""
+    doc = _load(args.spec, getattr(args, "eqs", None))
+    bounds = _bounds_from(args) if hasattr(args, "term_size") else None
+    verdict, payload, lines = question(doc, args, bounds)
+    _emit(payload, args.json, lines)
+    return _EXIT.get(verdict, OK)
 
 
 # ---------------------------------------------------------------------------
 # corpus runner
 
 
+class _Fixture(dict):
+    """A manifest entry read as flags.  A field it lacks is its error, and
+    it never lifts fertility's label guard."""
+
+    force = False
+
+    def __getattr__(self, key):
+        if key not in self:
+            raise SystemExit("fixture %r has no field %r" % (self["name"], key))
+        return self[key]
+
+
 def _run_fixture(fx: dict, root: Path, bounds: Bounds) -> tuple[str, str]:
     """Returns (expected, actual) labels for one manifest entry."""
-    def need(key: str) -> str:
-        if key not in fx:
-            raise SystemExit("fixture %r has no field %r" % (fx["name"], key))
-        return fx[key]
-
-    doc = parse(_read(root / need("spec")))
+    a = _Fixture(fx)
+    doc = _load(root / a.spec)
     for key in fx.get("bounds", {}):
         if key not in _BOUND_KEYS:
             raise SystemExit("unknown bound %r" % key)
     bounds = dataclasses.replace(bounds, **fx.get("bounds", {}))
-    cmd, expect = need("command"), need("expect")
-    if cmd == "check":
-        tss = _pick_tss(doc, need("tss"))
-        v = check(need("notion"), parse_term(need("lhs"), tss),
-                  parse_term(need("rhs"), tss), tss, bounds)
-        return expect, v.kind
-    if cmd == "gsos-check":
-        report = analysis.validate_positive_gsos(_pick_tss(doc, need("tss")))
-        return expect, "ok" if report.ok else "violations"
-    if cmd == "extension-check":
-        report = analysis.validate_disjoint_extension(
-            _pick_tss(doc, need("base")), _pick_tss(doc, need("ext")))
-        return expect, "disjoint" if report.disjoint else "not-disjoint"
-    if cmd == "fertility":
-        result = analysis.initial_fertility(_pick_tss(doc, need("tss")),
-                                            bounds.term_size)
-        return expect, "fertile" if result.fertile else "unknown-at-bound"
-    if cmd == "robust-extension":
-        eqs = tuple(doc.equations)
-        crit = analysis.robust_extension_criteria(
-            _pick_tss(doc, need("base")), _pick_tss(doc, need("ext")), eqs)
-        return expect, "robust" if crit.robust else "not-robust"
-    raise ValueError("unknown corpus command %r" % cmd)
+    cmd, expect = a.command, a.expect
+    if cmd not in ("check", "gsos-check", "extension-check", "fertility",
+                   "robust-extension"):
+        raise ValueError("unknown corpus command %r" % cmd)
+    return expect, QUESTIONS[cmd](doc, a, bounds)[0]
 
 
 def cmd_corpus(args) -> int:
@@ -366,7 +340,7 @@ def cmd_corpus(args) -> int:
     for fx in sorted(fixtures, key=lambda f: f["name"]):
         try:
             expected, actual = _run_fixture(fx, root, bounds)
-        except (ParseError, KeyError, ValueError, SystemExit) as exc:
+        except (ValueError, SystemExit) as exc:
             expected, actual = fx.get("expect", "?"), "error: %s" % exc
         rows.append({"name": fx["name"], "expect": expected,
                      "actual": actual, "pass": expected == actual})
@@ -391,76 +365,65 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for transition system specifications.")
     subs = ap.add_subparsers(dest="command", required=True)
 
-    def sub(name, fn, **kw):
-        p = subs.add_parser(name, **kw)
+    def sub(name, help, spec="--spec"):
+        """A subcommand answering QUESTIONS[name], the spec file positional
+        or given by --spec."""
+        p = subs.add_parser(name, help=help)
         p.add_argument("--json", action="store_true")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=lambda args: _run(QUESTIONS[name], args))
+        if spec == "file":
+            p.add_argument("spec", metavar="file")
+        elif spec:
+            p.add_argument("--spec", required=True)
         return p
 
-    p = sub("parse-check", cmd_parse_check, help="parse a specification file")
-    p.add_argument("file")
+    sub("parse-check", "parse a specification file", "file")
 
-    p = sub("gsos-check", cmd_gsos_check, help="validate the rule format")
-    p.add_argument("file")
+    p = sub("gsos-check", "validate the rule format", "file")
     p.add_argument("--tss")
 
-    p = sub("extension-check", cmd_extension_check,
-            help="validate a disjoint extension")
-    p.add_argument("file")
+    p = sub("extension-check", "validate a disjoint extension", "file")
     p.add_argument("--base", required=True)
     p.add_argument("--ext", required=True)
 
-    p = sub("ruloids", cmd_ruloids, help="derive the ruloids of an open term")
-    p.add_argument("term")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--tss")
+    p = sub("robust-extension", "the label criteria for a robust extension")
+    p.add_argument("--tss", dest="base", required=True, help="base TSS name")
+    p.add_argument("--ext", required=True, help="extension TSS name")
 
-    p = sub("transitions", cmd_transitions,
-            help="derive the transitions of a closed term")
-    p.add_argument("term")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--tss")
+    for name, help in (("ruloids", "derive the ruloids of an open term"),
+                       ("transitions", "derive the transitions of a closed term"),
+                       ("explore", "explore the reachable state space")):
+        p = sub(name, help)
+        p.add_argument("term")
+        p.add_argument("--tss")
 
-    p = sub("explore", cmd_explore, help="explore the reachable state space")
-    p.add_argument("term")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--tss")
-    _add_bounds_flags(p)
-
-    p = sub("check", cmd_check, help="check an equivalence between two terms")
+    p = sub("check", "check an equivalence between two terms")
     p.add_argument("notion", choices=NOTIONS)
     p.add_argument("lhs")
     p.add_argument("rhs")
-    p.add_argument("--spec", required=True)
     p.add_argument("--tss")
-    _add_bounds_flags(p)
 
-    p = sub("fertility", cmd_fertility,
-            help="search for initial-action witnesses per label subset")
-    p.add_argument("--spec", required=True)
+    p = sub("fertility", "search for initial-action witnesses per label subset")
     p.add_argument("--tss")
     p.add_argument("--force", action="store_true",
                    help="override the label-count guard")
-    _add_bounds_flags(p)
 
-    p = sub("non-evolving", cmd_non_evolving,
-            help="non-evolving argument indices per operator")
-    p.add_argument("--spec", required=True)
+    p = sub("non-evolving", "non-evolving argument indices per operator")
     p.add_argument("--tss")
 
-    p = sub("advise", cmd_advise,
-            help="preservation report for equations under an extension")
-    p.add_argument("--spec", required=True)
+    p = sub("advise", "preservation report for equations under an extension")
     p.add_argument("--tss", required=True, help="base TSS name")
     p.add_argument("--ext", required=True, help="extension TSS name")
     p.add_argument("--eqs", help="extra file of equation declarations")
     p.add_argument("--notion", default="ci", choices=("ci", "fh", "hp",
                                                       "pfh", "php"))
-    _add_bounds_flags(p)
 
-    p = sub("corpus", cmd_corpus, help="run a fixture corpus against its manifest")
+    p = sub("corpus", "run a fixture corpus against its manifest", None)
     p.add_argument("dir")
-    _add_bounds_flags(p)
+    p.set_defaults(fn=cmd_corpus)
+
+    for name in ("explore", "check", "fertility", "advise", "corpus"):
+        _add_bounds_flags(subs.choices[name])
 
     return ap
 
@@ -469,10 +432,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        print("error: %s" % exc.code, file=sys.stderr)
+    except (SystemExit, ValueError) as exc:
+        # an input error, the CLI's own or one the library raises
+        print("error: %s" % (exc.code if isinstance(exc, SystemExit) else exc),
+              file=sys.stderr)
         return INPUT_ERROR
 
 

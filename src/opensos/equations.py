@@ -1,9 +1,10 @@
 """Equational theories: bounded proof search, soundness sweeps, preservation.
 
-The preservation advisor evaluates, cheapest first, the four guarantees:
-robust extensions (label criteria), no-new-label extensions, proper fh/hp
-certificates, and the non-evolving-index criteria on the equations; it then
-re-checks every axiom empirically on the extended TSS.
+The preservation advisor evaluates, cheapest first, the guarantees the
+notion has: robust extensions (label criteria, ci only), no-new-label
+extensions (fh and hp), proper fh/hp certificates (every notion), and the
+non-evolving-index criteria on the equations (ci only); it then re-checks
+every axiom empirically on the extended TSS.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .tss import Tss
 from .analysis import (
     EquationCriteria,
     ExtensionCriteria,
+    LabelGuardError,
     adds_labels,
     robust_equation_criteria,
     robust_extension_criteria,
@@ -277,11 +279,12 @@ def preservation_advisor(theory: EquationalTheory, base: Tss, ext: Tss,
         not_unsound = not sound.fails
         theorems: dict = {}
 
-        crit4 = robust_extension_criteria(base, ext, (eq,))
-        theorems["robust-extension-labels"] = {
-            "applies": crit4.robust and not_unsound,
-            **_extension_conjuncts(crit4),
-        }
+        if notion == "ci":
+            crit4 = robust_extension_criteria(base, ext, (eq,))
+            theorems["robust-extension-labels"] = {
+                "applies": crit4.robust and not_unsound,
+                **_extension_conjuncts(crit4),
+            }
 
         if notion in ("fh", "hp"):
             holds_base = sound.holds
@@ -291,20 +294,25 @@ def preservation_advisor(theory: EquationalTheory, base: Tss, ext: Tss,
                 "certificate_on_base": sound.kind,
             }
 
-        proper_notion = _PROPER_NOTION.get(notion)
-        if proper_notion:
-            pv = check(proper_notion, eq.lhs, eq.rhs, base, bounds)
-            theorems["proper-%s-certificate" % proper_notion] = {
-                "applies": pv.holds and extrep.disjoint,
-                "verdict_on_base": pv.kind,
-            }
+        proper_notion = _PROPER_NOTION[notion]
+        pv = sound if proper_notion == notion else check(
+            proper_notion, eq.lhs, eq.rhs, base, bounds)
+        theorems["proper-%s-certificate" % proper_notion] = {
+            "applies": pv.holds and extrep.disjoint,
+            "verdict_on_base": pv.kind,
+        }
 
         if notion == "ci":
-            crit3 = robust_equation_criteria(eq, base, bounds.term_size)
-            theorems["non-evolving-criteria"] = {
-                "applies": crit3.met and not_unsound,
-                **_equation_conjuncts(crit3),
-            }
+            try:
+                crit3 = robust_equation_criteria(eq, base, bounds.term_size)
+            except LabelGuardError as exc:
+                theorems["non-evolving-criteria"] = {
+                    "applies": False, "label_guard": str(exc)}
+            else:
+                theorems["non-evolving-criteria"] = {
+                    "applies": crit3.met and not_unsound,
+                    **_equation_conjuncts(crit3),
+                }
 
         # theorems was filled in priority order
         chosen = next(

@@ -430,6 +430,21 @@ def test_fh_distinct_variables_fail(corpus_tsss):
     assert fh_bisim(Var("x"), Var("y"), ccs).fails
 
 
+def test_fh_relates_every_merged_variant(corpus_tsss):
+    ccs = corpus_tsss["Ccs"]
+    v = fh_bisim(parse_term("plus(plus(x, y), z)", ccs),
+                 parse_term("plus(x, plus(y, z))", ccs), ccs)
+    # the pair, its three two-variable merges and the merge of all three,
+    # which merging two variables of a merged variant reaches
+    assert v.certificate["pairs"] == [
+        ["plus(plus(v0, v0), v0)", "plus(v0, plus(v0, v0))"],
+        ["plus(plus(v0, v0), v1)", "plus(v0, plus(v0, v1))"],
+        ["plus(plus(v0, v1), v0)", "plus(v0, plus(v1, v0))"],
+        ["plus(plus(v0, v1), v1)", "plus(v0, plus(v1, v1))"],
+        ["plus(plus(v0, v1), v2)", "plus(v0, plus(v1, v2))"],
+        ["v0", "v0"]]
+
+
 def test_fh_forwarding_breaks_with_new_label(corpus_tsss):
     f, fb = corpus_tsss["F"], corpus_tsss["FB"]
     s, t = parse_term("f(x)", f), Var("x")
@@ -523,6 +538,30 @@ def test_inconclusive_names_the_bound_that_fired():
     g = App("f", tuple(Var("x%d" % i) for i in (2, 1, 3, 4, 5)))
     v = hp_bisim(f, g, wide)
     assert v.reason == "hypothesis cap 4 reached without closure"
+
+
+def test_hp_leaves_a_state_over_the_size_budget_unexplored(monkeypatch):
+    # draw 204 of seed 102 in tests/dump_verdicts.py: the accumulated
+    # hypotheses outgrow the budget while no term or ruloid does
+    t = parse('tss T { labels: a; op c0/0; op g0/2; op g1/2; '
+              'rule "r0": |- c0 -a-> c0; rule "r1": |- c0 -a-> g0(c0, c0); '
+              'rule "r2": x0 -a-> y0 |- g0(x0, x1) -a-> y0; '
+              'rule "r3": |- g1(x0, x1) -a-> g0(g1(c0, x0), g0(c0, x1)); '
+              'rule "r4": x0 -a-> y0 |- g1(x0, x1) -a-> g1(x1, x1); }'
+              ).tss("T")
+    over, key_size = [], bisim._Game.key_size
+
+    def recording(game, key):
+        size = key_size(game, key)
+        if size > game.SIZE_CAP:
+            over.append(len(key[2]))
+        return size
+
+    monkeypatch.setattr(bisim._Game, "key_size", recording)
+    v = hp_bisim(App("c0"), parse_term("g1(g0(x, y), g1(y, x))", t), t,
+                 Bounds(term_size=2, depth=8, state_cap=150, pair_cap=300))
+    assert v.reason == "size cap 24 reached without closure"
+    assert over and all(6 * hyps > bisim._Game.SIZE_CAP for hyps in over)
 
 
 def test_identical_pairs_hold_under_every_notion():

@@ -157,7 +157,7 @@ def test_bad_term_exits_2(capsys):
     code, _, err = run(capsys, "check", "fh", "nope(x)", "x",
                        "--spec", EX3, "--tss", "F")
     assert code == 2
-    assert "nope" in err
+    assert err == "error: term 'nope(x)': 1:1: undeclared operator 'nope'\n"
 
 
 def test_ruloids_and_transitions_output(capsys):
@@ -216,6 +216,10 @@ def test_env_bounds_invalid_entry(capsys, monkeypatch):
                        "--tss", "Ccs")
     assert code == 2
     assert err == "error: invalid OPENSOS_BOUNDS entry 'bogus=3'\n"
+    # a subcommand without bound flags does not read the environment
+    for argv in (["parse-check", EX1], ["gsos-check", EX1],
+                 ["non-evolving", "--spec", EX1]):
+        assert run(capsys, *argv)[0::2] == (0, ""), argv
 
 
 def test_nonpositive_bound_is_an_input_error(capsys):
@@ -276,6 +280,74 @@ def test_a_spec_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: %s: not UTF-8 text" % bad), argv
+
+
+def test_robust_extension_exit_codes(capsys):
+    code, out, _ = run(capsys, "robust-extension", "--spec", EX5, "--tss",
+                       "Choice0", "--ext", "ChoiceA", "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "analysis": "robust-extension", "tss": ["Choice0", "ChoiceA"],
+        "verdict": "not-robust",
+        "details": ["the extension concludes base premise label 'a'"]}
+    code, out, _ = run(capsys, "robust-extension", "--spec",
+                       str(CORPUS / "sec43a.sos"), "--tss", "Pref",
+                       "--ext", "PrefChoice")
+    assert (code, out) == (0, "robust\n")
+
+
+def _shell_argv(fx: dict) -> list[str]:
+    """The subcommand a manifest entry names, as typed in a shell."""
+    spec = str(CORPUS / fx["spec"])
+    flags = ["--json"] + [
+        "--%s=%s" % (key.replace("_", "-"), value)
+        for key, value in fx.get("bounds", {}).items()]
+    command = fx["command"]
+    if command == "check":
+        return [command, fx["notion"], fx["lhs"], fx["rhs"], "--spec", spec,
+                "--tss", fx["tss"]] + flags
+    if command == "gsos-check":
+        return [command, spec, "--tss", fx["tss"]] + flags
+    if command == "extension-check":
+        return [command, spec, "--base", fx["base"], "--ext", fx["ext"]] + flags
+    if command == "fertility":
+        return [command, "--spec", spec, "--tss", fx["tss"]] + flags
+    assert command == "robust-extension"
+    return [command, "--spec", spec, "--tss", fx["base"],
+            "--ext", fx["ext"]] + flags
+
+
+def test_every_fixture_replays_from_the_shell(capsys):
+    manifest = json.loads((CORPUS / "manifest.json").read_text())
+    exits = {"holds": 0, "ok": 0, "disjoint": 0, "fertile": 0, "robust": 0,
+             "fails": 1, "violations": 1, "not-disjoint": 1, "not-robust": 1,
+             "inconclusive": 3, "unknown-at-bound": 3}
+    for fx in manifest["fixtures"]:
+        code, out, err = run(capsys, *_shell_argv(fx))
+        assert (code, err) == (exits[fx["expect"]], ""), fx["name"]
+        assert json.loads(out)["verdict"] == fx["expect"], fx["name"]
+
+
+def test_a_fixture_runs_only_a_corpus_command_as_given(tmp_path, capsys):
+    labels = ", ".join("l%d" % i for i in range(17))
+    (tmp_path / "many.sos").write_text(
+        "tss Many { labels: %s; op z/0; }" % labels)
+    shutil.copy(CORPUS / "ex3.sos", tmp_path / "ex3.sos")
+    fixtures = [
+        {"name": "a", "spec": "ex3.sos", "command": "advise", "tss": "F",
+         "ext": "FB", "expect": "ok"},
+        {"name": "b", "spec": "many.sos", "command": "fertility",
+         "tss": "Many", "force": "yes", "expect": "fertile"},
+        {"name": "c", "spec": "ex3.sos", "command": "check", "notion": "fh",
+         "lhs": "nope(x)", "rhs": "x", "tss": "F", "expect": "holds"}]
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"fixtures": fixtures}))
+    code, out, err = run(capsys, "corpus", str(tmp_path), "--json")
+    assert (code, err) == (1, "")
+    assert [r["actual"] for r in json.loads(out)["fixtures"]] == [
+        "error: unknown corpus command 'advise'",
+        "error: 17 labels means 131072 subsets; pass force to override",
+        "error: term 'nope(x)': 1:1: undeclared operator 'nope'"]
 
 
 def test_a_malformed_manifest_is_an_input_error(tmp_path, capsys):

@@ -4,13 +4,16 @@ from opensos import (
     Equation,
     EquationalTheory,
     Var,
+    check,
+    equations,
     parse,
     parse_term,
     preservation_advisor,
     prove,
     soundness_sweep,
 )
-from opensos.equations import BROKEN, EMPIRICAL, GUARANTEED, THEORY_CAVEAT
+from opensos.equations import (BROKEN, EMPIRICAL, GUARANTEED, THEORY_CAVEAT,
+                                _match, _rewrites)
 
 SMALL = Bounds(term_size=2, depth=8, state_cap=200, pair_cap=500)
 
@@ -123,6 +126,30 @@ def test_prove_never_contradicts_a_ci_counterexample(corpus_docs):
     assert not prove(theory, goal, depth=4).proved
 
 
+def test_a_rewrite_instantiates_a_variable_free_in_the_other_side(corpus_docs):
+    t = corpus_docs["ex1"].tss("Ccs")
+    drop = Equation(parse_term("plus(x, y)", t), Var("x"), "drop")
+    theory = EquationalTheory((drop,), t)
+    term = parse_term("pre_a(zero)", t)
+    # right to left, y is free: it ranges over the subterms of the term up
+    # to the instantiation size and the constants, smallest first
+    assert [str(new) for new, _, direction, pos in _rewrites(term, theory, 3)
+            if direction == "rl" and pos == ()] == [
+        "plus(pre_a(zero), zero)", "plus(pre_a(zero), pre_a(zero))"]
+    assert [str(new) for new, _, direction, pos in _rewrites(term, theory, 1)
+            if direction == "rl" and pos == ()] == ["plus(pre_a(zero), zero)"]
+
+
+def test_a_repeated_pattern_variable_matches_equal_arguments_only(corpus_docs):
+    t = corpus_docs["ex1"].tss("Ccs")
+    idem = parse_term("plus(x, x)", t)
+    binding = {}
+    assert _match(idem, parse_term("plus(pre_a(zero), pre_a(zero))", t),
+                  binding)
+    assert binding == {"x": parse_term("pre_a(zero)", t)}
+    assert not _match(idem, parse_term("plus(zero, pre_a(zero))", t), {})
+
+
 # ---------------------------------------------------------------------------
 # soundness sweeps
 
@@ -200,8 +227,8 @@ eq "forward": f(x) = x @ F;
     assert not axiom.recheck_on_extension.fails
 
 
-def test_advisor_proper_certificate_route(corpus_docs):
-    doc = parse("""
+# ex1's choice and a new operator g that feeds the base premise label a
+FEED = """
 tss Ccs {
   labels: a;
   op zero/0;
@@ -218,18 +245,121 @@ tss Feed extends Ccs {
   rule "tick": |- g(x) -b-> x;
 }
 eq "assoc": plus(plus(x, y), z) = plus(x, plus(y, z)) @ Ccs;
-""")
+"""
+
+
+def test_advisor_proper_certificate_route():
+    doc = parse(FEED)
     theory = _theory(doc, "Ccs", "assoc")
     report = preservation_advisor(theory, doc.tss("Ccs"), doc.tss("Feed"),
                                   "fh", SMALL)
     (axiom,) = report.axioms
-    # label overlap rules out the extension criteria; label b rules out the
+    # the extension criteria are a ci theorem; label b rules out the
     # no-new-label route; the proper certificate carries the guarantee
-    assert axiom.theorems["robust-extension-labels"]["applies"] is False
+    assert "robust-extension-labels" not in axiom.theorems
     assert axiom.theorems["no-new-labels"]["applies"] is False
     assert axiom.classification == GUARANTEED
     assert axiom.theorem == "proper-pfh-certificate"
     assert not axiom.contradiction
+
+
+def test_advisor_empirical_when_no_theorem_applies():
+    doc = parse(FEED)
+    theory = _theory(doc, "Ccs", "assoc")
+    bounds = Bounds(term_size=2, depth=8, state_cap=200, pair_cap=1)
+    report = preservation_advisor(theory, doc.tss("Ccs"), doc.tss("Feed"),
+                                  "ci", bounds)
+    (axiom,) = report.axioms
+    # label a overlaps, the pfh game stops at pair cap 1, and plus has no
+    # non-evolving index: only the bounded recheck is left
+    assert {name: th["applies"] for name, th in axiom.theorems.items()} == {
+        "robust-extension-labels": False, "proper-pfh-certificate": False,
+        "non-evolving-criteria": False}
+    assert axiom.theorems["proper-pfh-certificate"]["verdict_on_base"] == (
+        "inconclusive")
+    assert axiom.recheck_on_extension.inconclusive
+    assert axiom.classification == EMPIRICAL
+    assert axiom.theorem is None and not axiom.contradiction
+
+
+# n has a rule, but never moves on the label a that g's premise reads
+INERT = parse("""
+tss B {
+  labels: a;
+  op c/0;
+  op f/1;
+  op g/1;
+  rule "c": |- c -a-> c;
+  rule "f": |- f(x) -a-> x;
+  rule "g": x -a-> y |- g(x) -a-> y;
+}
+tss E extends B {
+  labels: b;
+  op n/0;
+  rule "n": |- n -b-> n;
+}
+eq "inert": f(x) = f(g(x)) @ B;
+""")
+
+
+def test_advisor_offers_the_extension_criteria_only_under_ci():
+    theory = _theory(INERT, "B", "inert")
+    for notion in ("fh", "hp", "pfh", "php"):
+        report = preservation_advisor(theory, INERT.tss("B"), INERT.tss("E"),
+                                      notion, SMALL)
+        (axiom,) = report.axioms
+        assert "robust-extension-labels" not in axiom.theorems, notion
+        assert not any(th["applies"] for th in axiom.theorems.values()), notion
+        assert axiom.soundness_on_base.holds == (notion in ("fh", "hp"))
+        assert axiom.recheck_on_extension.fails, notion
+        assert axiom.classification == BROKEN and axiom.theorem is None
+        assert not axiom.contradiction, notion
+
+
+def test_advisor_names_the_label_guard():
+    labels = ", ".join("l%d" % i for i in range(17))
+    doc = parse("""
+tss Many {
+  labels: %s;
+  op z/0;
+  op f/1;
+  rule "f": |- f(x) -l0-> x;
+}
+tss ManyN extends Many {
+  labels: ;
+  op n/0;
+  rule "n": |- n -l1-> n;
+}
+eq "unit": f(x) = f(x) @ Many;
+""" % labels)
+    theory = _theory(doc, "Many", "unit")
+    report = preservation_advisor(theory, doc.tss("Many"), doc.tss("ManyN"),
+                                  "ci", SMALL)
+    (axiom,) = report.axioms
+    assert axiom.theorems["non-evolving-criteria"] == {
+        "applies": False,
+        "label_guard": "17 labels means 131072 subsets; pass force to override"}
+    assert axiom.classification == GUARANTEED
+
+
+def test_advisor_checks_the_base_once_under_a_proper_notion(monkeypatch):
+    asked = []
+
+    def counting_check(notion, s, t, tss, bounds):
+        asked.append((notion, tss.name))
+        return check(notion, s, t, tss, bounds)
+
+    monkeypatch.setattr(equations, "check", counting_check)
+    theory = _theory(INERT, "B", "inert")
+    for notion, proper in (("fh", "pfh"), ("hp", "php"), ("pfh", "pfh"),
+                           ("php", "php")):
+        asked.clear()
+        preservation_advisor(theory, INERT.tss("B"), INERT.tss("E"), notion,
+                             SMALL)
+        want = [(notion, "B"), (notion, "E")]
+        if proper != notion:
+            want.insert(1, (proper, "B"))
+        assert asked == want, notion
 
 
 def test_advisor_empirical_fallback(corpus_docs):
