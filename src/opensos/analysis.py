@@ -12,7 +12,7 @@ from .terms import (
     is_linear,
     vars_of,
 )
-from .tss import FormatViolation, Tss, destructure_rule, rule_head
+from .tss import Tss, rule_head
 from .ruloids import initial_actions, transitions
 
 
@@ -26,13 +26,7 @@ class FormatReport:
 
 
 def validate_positive_gsos(tss: Tss) -> FormatReport:
-    violations = []
-    for rule in tss.all_rules:
-        try:
-            destructure_rule(rule)
-        except FormatViolation as exc:
-            violations.append((rule.name, str(exc)))
-    return FormatReport(tuple(violations))
+    return FormatReport(tss.format_violations)
 
 
 class ArityConflictError(ValueError):
@@ -52,8 +46,11 @@ def validate_disjoint_extension(base: Tss, ext: Tss) -> ExtensionReport:
     """Check that every delta rule is f-defining for a new operator.
 
     `ext` is the extension layer; only its own (non-base) declarations count
-    as the delta.  An arity conflict between layers is a hard error.
+    as the delta.  An `ext` that does not extend `base`, or an arity
+    conflict between layers, is a hard error.
     """
+    if ext is base or base not in ext.layers():
+        raise ValueError("%s does not extend %s" % (ext.name, base.name))
     base_sig = base.all_signature
     try:
         base_sig.merge(ext.signature)
@@ -104,8 +101,7 @@ def non_evolving_indices(tss: Tss) -> NonEvolvingTable:
     table = []
     for op, arity in sorted(tss.all_signature.operators):
         good = set(range(arity))
-        for rule in tss.defining_rules(op):
-            shape = tss.shape(rule)
+        for shape in tss.defining_shapes(op):
             tvars = vars_of(shape.target)
             for i in list(good):
                 if shape.source_vars[i] in tvars:
@@ -134,15 +130,18 @@ class FertilityResult:
         return not self.missing
 
 
+MAX_LABELS = 16  # fertility's label guard: 2 ** 16 subsets
+
+
 def initial_fertility(tss: Tss, size_bound: int, *,
-                      max_labels: int = 16, force: bool = False) -> FertilityResult:
+                      force: bool = False) -> FertilityResult:
     """Search closed terms of bounded size for one witness per label subset.
 
     A semi-decision: either Fertile with verified witnesses, or the subsets
     still unrealized at the bound.  Never answers "infertile".
     """
     labels = tss.all_labels
-    if len(labels) > max_labels and not force:
+    if len(labels) > MAX_LABELS and not force:
         raise LabelGuardError(
             "%d labels means %d subsets; pass force to override"
             % (len(labels), 2 ** len(labels))
@@ -200,8 +199,8 @@ class EquationCriteria:
                 and not self.placement_violations)
 
 
-def robust_equation_criteria(eq: Equation, tss: Tss, size_bound: int, *,
-                             force: bool = False) -> EquationCriteria:
+def robust_equation_criteria(eq: Equation, tss: Tss, size_bound: int
+                             ) -> EquationCriteria:
     """Side conditions under which a sound equation survives any disjoint
     positive GSOS extension: fertility, linearity, and non-evolving placement.
     Closed argument terms at evolving indices are permitted; only open
@@ -209,7 +208,7 @@ def robust_equation_criteria(eq: Equation, tss: Tss, size_bound: int, *,
 
     Soundness of the equation itself is established separately.
     """
-    fert = initial_fertility(tss, size_bound, force=force)
+    fert = initial_fertility(tss, size_bound)
     table = non_evolving_indices(tss)
     violations: list[str] = []
     for side, t in (("lhs", eq.lhs), ("rhs", eq.rhs)):

@@ -75,11 +75,9 @@ def _canonicalize(source: Term, label: str, target: Term,
 
 def _synthesize(t: Term, tss: Tss) -> tuple[Ruloid, ...]:
     if isinstance(t, Var):
-        out = []
-        for seq, label in enumerate(tss.all_labels):
-            h = Hyp(t.name, label, "h0")
-            out.append(Ruloid(frozenset([h]), t, label, Var("h0")))
-        return tuple(out)
+        (h,) = canonical_names(1, frozenset([t.name]), prefix="h")
+        return tuple(Ruloid(frozenset([Hyp(t.name, label, h)]), t, label,
+                            Var(h)) for label in tss.all_labels)
 
     counter = itertools.count()
 

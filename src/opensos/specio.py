@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .terms import App, Equation, Signature, Term, Var
+from .terms import App, Equation, Signature, SignatureError, Term, Var
 from .tss import Rule, Trans, Tss
 
 
@@ -82,7 +82,6 @@ _Raw = tuple  # (name, tuple[_Raw, ...] | None, line, col)
 class SpecDocument:
     tss_decls: list[Tss] = field(default_factory=list)
     equations: list[Equation] = field(default_factory=list)
-    source_spans: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def tss(self, name: str) -> Tss:
         for t in self.tss_decls:
@@ -195,7 +194,7 @@ class _Parser:
     def tss_decl(self, doc: SpecDocument) -> None:
         kw = self.expect("ident", "tss")
         name = self.expect("ident").text
-        if name in doc.source_spans:
+        if any(t.name == name for t in doc.tss_decls):
             raise self.error("duplicate declaration of %r" % name, kw)
         base: Tss | None = None
         if self.accept("ident", "extends"):
@@ -214,8 +213,8 @@ class _Parser:
                 labels.append(self.expect("ident").text)
         self.expect("punct", ";")
 
-        ops: dict[str, int] = {}
-        base_sig = base.all_signature if base else Signature(())
+        ops: dict[str, int] = {}  # this layer's own declarations
+        sig = base.all_signature if base else Signature(())
         all_labels = set(labels) | (set(base.all_labels) if base else set())
         rules: list[Rule] = []
         while not self.accept("punct", "}"):
@@ -225,12 +224,10 @@ class _Parser:
                 self.expect("punct", "/")
                 arity = int(self.expect("nat").text)
                 self.expect("punct", ";")
-                cumulative = dict(base_sig.operators)
-                cumulative.update(ops)
-                if op_tok.text in cumulative and cumulative[op_tok.text] != arity:
-                    raise self.error(
-                        "operator %r redeclared with arity %d (was %d)"
-                        % (op_tok.text, arity, cumulative[op_tok.text]), op_tok)
+                try:
+                    sig = Signature(sig.operators + ((op_tok.text, arity),))
+                except SignatureError as exc:
+                    raise self.error(str(exc), op_tok)
                 ops[op_tok.text] = arity
             elif self.accept("ident", "rule"):
                 rule_tok = self.expect("string")
@@ -247,7 +244,6 @@ class _Parser:
                     self.expect("punct", "|-")
                 concl = self.raw_trans()
                 self.expect("punct", ";")
-                sig = base_sig.merge(Signature.of(ops))
                 if meta is None:
                     rules.append(self._build_rule(
                         rname, premises, concl, sig, all_labels, None, None))
@@ -261,7 +257,6 @@ class _Parser:
         tss = Tss(name, Signature.of(ops), tuple(sorted(set(labels))),
                   tuple(rules), base)
         doc.tss_decls.append(tss)
-        doc.source_spans[name] = (kw.line, kw.col)
 
     def _build_rule(self, name, premises, concl, sig, labels,
                     meta: str | None, meta_label: str | None) -> Rule:
@@ -323,7 +318,6 @@ class _Parser:
         sig = over.all_signature
         doc.equations.append(Equation(
             self._resolve(lhs, sig), self._resolve(rhs, sig), name, over.name))
-        doc.source_spans["eq:" + name] = (kw.line, kw.col)
 
 
 def parse(text: str) -> SpecDocument:
@@ -350,9 +344,7 @@ def print_document(doc: SpecDocument) -> str:
         for name, arity in t.signature.operators:
             out.append("  op %s/%d;" % (name, arity))
         for r in t.rules:
-            prem = ", ".join(str(p) for p in r.premises)
-            sep = " " if prem else ""
-            out.append('  rule "%s": %s%s|- %s;' % (r.name, prem, sep, r.conclusion))
+            out.append('  rule "%s": %s;' % (r.name, r))
         out.append("}")
     for e in doc.equations:
         pin = " @ %s" % e.over if e.over else ""

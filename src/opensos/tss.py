@@ -47,45 +47,38 @@ class GsosShape:
 
 
 def destructure_rule(rule: Rule) -> GsosShape:
-    """Check the positive GSOS shape of a rule, or raise FormatViolation."""
+    """Check the positive GSOS shape of a rule, or raise FormatViolation
+    saying what is wrong (the caller names the rule)."""
     concl = rule.conclusion
     src = concl.source
     if not isinstance(src, App):
         raise FormatViolation(
-            "rule %r: conclusion source must be an operator application" % rule.name
-        )
+            "conclusion source must be an operator application")
     xs: list[str] = []
     for a in src.args:
         if not isinstance(a, Var):
             raise FormatViolation(
-                "rule %r: conclusion source arguments must be variables" % rule.name
-            )
+                "conclusion source arguments must be variables")
         xs.append(a.name)
     if len(set(xs)) != len(xs):
-        raise FormatViolation("rule %r: repeated source variable" % rule.name)
+        raise FormatViolation("repeated source variable")
     seen = set(xs)
     prems: list[tuple[int, str, str]] = []
     for p in rule.premises:
         if not isinstance(p.source, Var) or p.source.name not in xs:
             raise FormatViolation(
-                "rule %r: premise source must be an argument variable" % rule.name
-            )
+                "premise source must be an argument variable")
         if not isinstance(p.target, Var):
-            raise FormatViolation(
-                "rule %r: premise target must be a variable" % rule.name
-            )
+            raise FormatViolation("premise target must be a variable")
         if p.target.name in seen:
             raise FormatViolation(
-                "rule %r: premise target %r is not fresh" % (rule.name, p.target.name)
-            )
+                "premise target %r is not fresh" % p.target.name)
         seen.add(p.target.name)
         prems.append((xs.index(p.source.name), p.label, p.target.name))
     escape = vars_of(concl.target) - seen
     if escape:
         raise FormatViolation(
-            "rule %r: conclusion target uses unbound variables %s"
-            % (rule.name, sorted(escape))
-        )
+            "conclusion target uses unbound variables %s" % sorted(escape))
     return GsosShape(src.op, tuple(xs), tuple(prems), concl.label, concl.target)
 
 
@@ -140,25 +133,37 @@ class Tss:
             out.extend(layer.rules)
         return tuple(out)
 
-    def defining_rules(self, op: str) -> tuple[Rule, ...]:
-        key = ("defining", op)
-        if key not in self._memo:
-            self._memo[key] = tuple(
-                r for r in self.all_rules if rule_head(r) == op
-            )
-        return self._memo[key]
+    def _rule_table(self) -> tuple[dict[str, tuple[GsosShape, ...]],
+                                   tuple[tuple[str, str], ...]]:
+        """One pass over `all_rules`, on first use: the GSOS shapes by
+        operator in declaration order, and (rule name, reason) for every
+        rule outside the format."""
+        table = self._memo.get("rule-table")
+        if table is None:
+            shapes: dict[str, tuple[GsosShape, ...]] = {}
+            violations = []
+            for rule in self.all_rules:
+                try:
+                    shape = destructure_rule(rule)
+                except FormatViolation as exc:
+                    violations.append((rule.name, str(exc)))
+                else:
+                    shapes[shape.op] = shapes.get(shape.op, ()) + (shape,)
+            table = self._memo["rule-table"] = (shapes, tuple(violations))
+        return table
+
+    @property
+    def format_violations(self) -> tuple[tuple[str, str], ...]:
+        """(rule name, reason) of each rule outside positive GSOS."""
+        return self._rule_table()[1]
 
     def defining_shapes(self, op: str) -> tuple[GsosShape, ...]:
-        """The GSOS shapes of `defining_rules(op)`, in the same order."""
-        key = ("defining-shapes", op)
-        if key not in self._memo:
-            self._memo[key] = tuple(
-                self.shape(r) for r in self.defining_rules(op)
-            )
-        return self._memo[key]
+        """The GSOS shapes of the rules defining `op`, in declaration order.
 
-    def shape(self, rule: Rule) -> GsosShape:
-        key = ("shape", rule)
-        if key not in self._memo:
-            self._memo[key] = destructure_rule(rule)
-        return self._memo[key]
+        Every result of the theory assumes positive GSOS, so a TSS with any
+        rule outside the format is refused here, whichever operator is asked.
+        """
+        shapes, violations = self._rule_table()
+        if violations:
+            raise FormatViolation("rule %r: %s" % violations[0])
+        return shapes.get(op, ())

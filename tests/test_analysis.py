@@ -1,9 +1,11 @@
 import pytest
 
+import opensos.tss
 from opensos import (
     App,
     ArityConflictError,
     Equation,
+    FormatViolation,
     LabelGuardError,
     Rule,
     Signature,
@@ -11,16 +13,23 @@ from opensos import (
     Tss,
     Var,
     adds_labels,
+    check,
     conservativity_probe,
+    explore,
     initial_fertility,
     label_usage,
     non_evolving_indices,
     parse,
+    parse_term,
     robust_equation_criteria,
     robust_extension_criteria,
+    ruloids,
+    transitions,
     validate_disjoint_extension,
     validate_positive_gsos,
 )
+
+from conftest import CORPUS, ROOT
 
 
 def _tss(text, name=None):
@@ -32,9 +41,15 @@ def _tss(text, name=None):
 # rule format
 
 
-def test_corpus_rules_all_conform(corpus_tsss):
-    for name, t in corpus_tsss.items():
-        assert validate_positive_gsos(t).ok, name
+def test_corpus_rules_all_conform():
+    # every spec file of the corpus and of the benchmark, so the refusal of
+    # a rule outside the format never fires on one of their inputs
+    paths = (sorted(CORPUS.glob("*.sos"))
+             + sorted((ROOT / "perfbench" / "specs").glob("*.sos")))
+    assert paths
+    for path in paths:
+        for t in parse(path.read_text()).tss_decls:
+            assert validate_positive_gsos(t).ok, (path.name, t.name)
 
 
 def test_repeated_source_variable_is_a_violation():
@@ -63,6 +78,53 @@ def test_escaping_target_variable_is_a_violation():
     assert not validate_positive_gsos(bad).ok
 
 
+@pytest.mark.parametrize("premises, source, target, reason", [
+    ((), App("f", (App("c"),)), App("c"),
+     "conclusion source arguments must be variables"),
+    ((Trans(Var("x"), "a", App("c")),), App("f", (Var("x"),)), App("c"),
+     "premise target must be a variable"),
+    ((Trans(Var("x"), "a", Var("x")),), App("f", (Var("x"),)), App("c"),
+     "premise target 'x' is not fresh"),
+])
+def test_a_violation_is_named_once_and_refuses_every_operator(
+        premises, source, target, reason):
+    bad = Tss("T", Signature.of({"c": 0, "f": 1}), ("a",), (
+        Rule("r", premises, Trans(source, "a", target)),), None)
+    assert validate_positive_gsos(bad).violations == (("r", reason),)
+    with pytest.raises(FormatViolation) as exc:
+        transitions(App("c"), bad)  # c has no rule of its own
+    assert str(exc.value) == "rule 'r': " + reason
+
+
+def test_a_rule_without_an_operator_source_is_refused_not_dropped():
+    t = _tss('tss T { labels: a; op c/0; op d/0; rule "loop": |- c -a-> c; '
+             'rule "all": |- x -a-> d; }')
+    reason = "conclusion source must be an operator application"
+    assert validate_positive_gsos(t).violations == (("all", reason),)
+    c, d = App("c"), App("d")
+    for ask in (lambda: transitions(d, t), lambda: ruloids(d, t),
+                lambda: explore(c, t), lambda: non_evolving_indices(t),
+                lambda: initial_fertility(t, 1),
+                lambda: check("strong", c, d, t),
+                lambda: check("fh", Var("x"), d, t)):
+        with pytest.raises(FormatViolation) as exc:
+            ask()
+        assert str(exc.value) == "rule 'all': " + reason
+
+
+def test_every_layer_reads_each_rule_once(monkeypatch):
+    read = []
+    destructure = opensos.tss.destructure_rule
+    monkeypatch.setattr(opensos.tss, "destructure_rule",
+                        lambda rule: read.append(rule) or destructure(rule))
+    t = parse((CORPUS / "ex1.sos").read_text()).tss("CcsExt")
+    assert validate_positive_gsos(t).ok
+    assert transitions(parse_term("plus(zero, pre_a(zero))", t), t)
+    assert ruloids(parse_term("plus(x, pre_tau(y))", t), t)
+    non_evolving_indices(t)
+    assert read == list(t.all_rules)
+
+
 # ---------------------------------------------------------------------------
 # extensions
 
@@ -87,6 +149,13 @@ def test_ruleless_delta_is_vacuously_disjoint(corpus_tsss):
     delta = corpus_tsss["RepA"]
     assert delta.rules == ()
     assert validate_disjoint_extension(base, delta).disjoint
+
+
+def test_an_extension_must_extend_its_base(corpus_tsss):
+    for base, ext in (("CcsExt", "Ccs"), ("Ccs", "Ccs"), ("F", "CcsExt")):
+        with pytest.raises(ValueError) as exc:
+            validate_disjoint_extension(corpus_tsss[base], corpus_tsss[ext])
+        assert str(exc.value) == "%s does not extend %s" % (ext, base)
 
 
 def test_arity_conflict_between_layers_is_an_error(corpus_tsss):

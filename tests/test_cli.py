@@ -52,6 +52,48 @@ def test_gsos_check_violation_exits_1(tmp_path, capsys):
     assert "repeated source variable" in out
 
 
+def test_a_rule_outside_the_format_is_refused(tmp_path, capsys):
+    spec = tmp_path / "all.sos"
+    spec.write_text('tss T { labels: a; op c/0; op d/0; '
+                    'rule "loop": |- c -a-> c; rule "all": |- x -a-> d; }')
+    refusal = ("error: rule 'all': conclusion source must be an operator "
+               "application\n")
+    for argv in (["check", "strong", "c", "d"], ["check", "fh", "x", "d"],
+                 ["transitions", "d"], ["explore", "d"]):
+        code, out, err = run(capsys, *argv, "--spec", str(spec))
+        assert (code, out, err) == (2, "", refusal), argv
+    code, out, _ = run(capsys, "gsos-check", str(spec))
+    assert (code, out) == (1, "violations\nT: rule 'all': conclusion source "
+                              "must be an operator application\n")
+
+
+def test_an_arity_conflict_names_its_place(tmp_path, capsys):
+    bad = tmp_path / "bad.sos"
+    bad.write_text("tss B {\n  labels: a;\n  op f/1;\n}\n\n"
+                   "tss E extends B {\n  labels: a;\n  op g/0;\n  op f/2;\n}\n")
+    code, out, err = run(capsys, "parse-check", str(bad))
+    assert (code, out, err) == (2, "", "error: %s: 9:6: operator 'f' "
+                                "redeclared with arity 2 (was 1)\n" % bad)
+
+
+def test_a_document_without_a_tss_is_an_input_error(tmp_path, capsys):
+    empty = tmp_path / "empty.sos"
+    empty.write_text("# nothing declared\n")
+    code, out, err = run(capsys, "non-evolving", "--spec", str(empty))
+    assert (code, out, err) == (2, "", "error: document declares no TSS\n")
+
+
+def test_an_extension_must_extend_its_base(capsys):
+    for argv in (["extension-check", EX1, "--base", "CcsExt", "--ext", "Ccs"],
+                 ["robust-extension", "--spec", EX1, "--tss", "CcsExt",
+                  "--ext", "Ccs"],
+                 ["advise", "--spec", EX1, "--tss", "CcsExt", "--ext", "Ccs",
+                  "--notion", "fh"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (
+            2, "", "error: Ccs does not extend CcsExt\n"), argv
+
+
 def test_extension_check_exit_codes(capsys):
     code, _, _ = run(capsys, "extension-check", EX3, "--base", "F",
                      "--ext", "FB")
@@ -200,6 +242,21 @@ def test_advise_says_when_a_broken_axiom_fails_on_the_base(capsys):
     code, out, _ = run(capsys, "advise", "--spec", EX3, "--tss", "F",
                        "--ext", "FB", "--notion", "fh", "--term-size", "2")
     assert out == "forward: broken\n"
+
+
+def test_advise_reads_equations_from_eqs(tmp_path, capsys):
+    spec = tmp_path / "f.sos"
+    spec.write_text((CORPUS / "ex3.sos").read_text().replace(
+        'eq "forward": f(x) = x @ F;', ""))
+    argv = ["advise", "--spec", str(spec), "--tss", "F", "--ext", "FB",
+            "--notion", "fh", "--term-size", "2"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        2, "", "error: no equations pinned to F or FB\n")
+    eqs = tmp_path / "eqs.sos"
+    eqs.write_text('eq "forward": f(x) = x @ F;\n')
+    code, out, err = run(capsys, *argv, "--eqs", str(eqs))
+    assert (code, out, err) == (1, "forward: broken\n", "")
 
 
 def test_env_bounds_override(capsys, monkeypatch):

@@ -35,6 +35,16 @@ def test_variable_ruloids_one_per_label(corpus_tsss):
     ]
 
 
+def test_a_variable_named_like_a_hypothesis_target_keeps_them_apart(
+        corpus_tsss):
+    rs = ruloids(Var("h0"), corpus_tsss["FB"])
+    assert _rstrs(rs) == [
+        "h0 -a-> h1 |- h0 -a-> h1",
+        "h0 -b-> h1 |- h0 -b-> h1",
+    ]
+    assert all(r.target != r.source for r in rs)
+
+
 def test_forwarding_operator_ruloid(corpus_tsss):
     f = corpus_tsss["F"]
     rs = ruloids(parse_term("f(x)", f), f)

@@ -50,6 +50,30 @@ def test_conflicting_redeclaration_is_an_error():
         parse("tss T { labels: a; op f/1; op f/2; }")
 
 
+@pytest.mark.parametrize("text, position, message", [
+    ("tss T { labels: a; op c/0; } $", (1, 30), "unexpected character '$'"),
+    ("tss T { labels: a; op c/0 }", (1, 27), "expected ';', found '}'"),
+    ("op c/0;", (1, 1), "expected 'tss' or 'eq' declaration"),
+    ("tss T { labels: a; } tss T { labels: b; }", (1, 22),
+     "duplicate declaration of 'T'"),
+    ('tss T { labels: a; eq "e": x = x; }', (1, 20),
+     "expected 'op', 'rule' or '}'"),
+    ('tss T { labels: a; op f/1; rule "r": |- f -a-> f; }', (1, 41),
+     "operator 'f' of arity 1 used without arguments"),
+    ('tss T { labels: a; op c/0; } eq "e": c = c @ U;', (1, 46),
+     "undeclared TSS 'U'"),
+    ("tss T { labels: a; op f/1; op f/2; }", (1, 31),
+     "operator 'f' redeclared with arity 2 (was 1)"),
+    ("tss B { labels: a; op f/1; } tss E extends B { labels: a; op f/2; }",
+     (1, 62), "operator 'f' redeclared with arity 2 (was 1)"),
+])
+def test_parse_errors_name_their_cause_and_place(text, position, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert ((exc.value.line, exc.value.col), exc.value.message) == (
+        position, message)
+
+
 def test_undeclared_base_tss_is_an_error():
     with pytest.raises(ParseError):
         parse("tss T extends Missing { labels: a; }")
