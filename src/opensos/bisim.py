@@ -13,6 +13,11 @@ how a defender ruloid may answer an attacker's.  Both work at the
 most-general-ruloid level, and hypothesis-target merging is covered
 explicitly (merged pair variants for fh, alignment maps for hp), so Holds
 is sound and Fails always bottoms out in a concretely unmatched ruloid.
+
+ci on open terms answers through that hierarchy first (fh ⊆ hp ⊆ ci): an
+fh or hp Holds is a ci Holds carrying its certificate under "via".  Only
+when neither holds does ci sweep closing substitutions, which can refute
+but never prove.
 """
 from __future__ import annotations
 
@@ -264,22 +269,39 @@ def strong_bisim(p: Term, q: Term, tss: Tss, bounds: Bounds = Bounds(),
 
 
 def ci_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
-    """Sweep all closing substitutions with images up to the term size bound.
+    """Closed-instance bisimilarity.
 
-    Fails is definitive.  For open terms a clean sweep is reported as
-    "no counterexample up to bound", never as a definitive Holds.
+    Closed pairs are strong bisimilarity.  On open terms, with closing
+    substitutions to try, fh and then hp are asked at the same bounds: the
+    first Holds proves ci (fh ⊆ hp ⊆ ci on open terms) and is returned
+    with certificate {"via": notion, **that verdict's certificate}.  An fh
+    or hp Fails says nothing about ci, so otherwise every closing
+    substitution with images up to the term size bound is swept.  Fails
+    is definitive; a clean sweep is reported as "no counterexample up to
+    bound", never as a definitive Holds.
     """
     if s == t:
         return _identity()
-    names = sorted(vars_of(s) | vars_of(t))
-    if not names:
+    if is_closed(s) and is_closed(t):
         return strong_bisim(s, t, tss, bounds)
-    pool = list(enumerate_closed_terms(tss.all_signature, bounds.term_size))
-    if not pool:
+    if not tss.all_signature.constants():
         return Verdict(
             HOLDS, "no constants in signature: no closing substitutions exist",
             vacuous=True,
         )
+    for notion, game in (("fh", fh_bisim), ("hp", hp_bisim)):
+        v = game(s, t, tss, bounds)
+        if v.holds:
+            return Verdict(HOLDS, "%s-bisimilar, which implies ci" % notion,
+                           certificate={"via": notion, **v.certificate})
+    return _ci_sweep(s, t, tss, bounds)
+
+
+def _ci_sweep(s: Term, t: Term, tss: Tss, bounds: Bounds) -> Verdict:
+    """Sweep every closing substitution with images up to the term size
+    bound.  Fails is definitive; a clean sweep is inconclusive."""
+    names = sorted(vars_of(s) | vars_of(t))
+    pool = list(enumerate_closed_terms(tss.all_signature, bounds.term_size))
     count = 0
     for images in itertools.product(pool, repeat=len(names)):
         sigma = dict(zip(names, images))

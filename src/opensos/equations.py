@@ -266,6 +266,12 @@ def _equation_conjuncts(crit: EquationCriteria) -> dict:
     }
 
 
+def _evidence(v: Verdict) -> str:
+    """A verdict's kind, naming the notion a ci Holds was proved through."""
+    via = (v.certificate or {}).get("via")
+    return "%s via %s" % (v.kind, via) if via else v.kind
+
+
 def preservation_advisor(theory: EquationalTheory, base: Tss, ext: Tss,
                          notion: str, bounds: Bounds = Bounds()
                          ) -> PreservationReport:
@@ -277,12 +283,14 @@ def preservation_advisor(theory: EquationalTheory, base: Tss, ext: Tss,
     for eq in theory.axioms:
         sound = check(notion, eq.lhs, eq.rhs, base, bounds)
         not_unsound = not sound.fails
+        evidence = _evidence(sound)
         theorems: dict = {}
 
         if notion == "ci":
             crit4 = robust_extension_criteria(base, ext, (eq,))
             theorems["robust-extension-labels"] = {
                 "applies": crit4.robust and not_unsound,
+                "verdict_on_base": evidence,
                 **_extension_conjuncts(crit4),
             }
 
@@ -307,10 +315,12 @@ def preservation_advisor(theory: EquationalTheory, base: Tss, ext: Tss,
                 crit3 = robust_equation_criteria(eq, base, bounds.term_size)
             except LabelGuardError as exc:
                 theorems["non-evolving-criteria"] = {
-                    "applies": False, "label_guard": str(exc)}
+                    "applies": False, "verdict_on_base": evidence,
+                    "label_guard": str(exc)}
             else:
                 theorems["non-evolving-criteria"] = {
                     "applies": crit3.met and not_unsound,
+                    "verdict_on_base": evidence,
                     **_equation_conjuncts(crit3),
                 }
 

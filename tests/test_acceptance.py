@@ -33,6 +33,7 @@ from opensos import (
     validate_disjoint_extension,
     vars_of,
 )
+from opensos.bisim import _ci_sweep
 from opensos.cli import main
 from opensos.ruloids import instantiations
 from opensos.terms import is_closed
@@ -198,19 +199,28 @@ PROP = Bounds(term_size=2, depth=8, state_cap=150, pair_cap=300)
 def test_criterion_8_property_suites(capsys):
     with criterion(capsys, 8, "randomized suites: hierarchy, coincidence, "
                               "preservation, conservativity (5 x 200)"):
-        # (a) fh Holds => hp not-Fails => ci finds no counterexample
+        # (a) fh Holds => hp not-Fails, and hp Holds => no closing
+        # substitution distinguishes.  ci answers through fh and hp before
+        # it sweeps, so the sweep is run directly; a ci Holds via a notion
+        # carries exactly that notion's certificate
         rng = random.Random(100)
         for _ in range(200):
             tss = random_tss(rng)
             s = random_open_term(rng, tss, 3)
             t = random_open_term(rng, tss, 3)
-            fh = fh_bisim(s, t, tss, PROP)
-            if not fh.holds:
-                continue
-            hp = hp_bisim(s, t, tss, PROP)
-            assert not hp.fails, (tss, str(s), str(t))
-            if hp.holds:
-                assert not ci_bisim(s, t, tss, PROP).fails, (str(s), str(t))
+            direct = {"fh": fh_bisim(s, t, tss, PROP),
+                      "hp": hp_bisim(s, t, tss, PROP)}
+            if direct["fh"].holds:
+                assert not direct["hp"].fails, (tss, str(s), str(t))
+            if direct["hp"].holds:
+                assert not _ci_sweep(s, t, tss, PROP).fails, (str(s), str(t))
+            ci = ci_bisim(s, t, tss, PROP)
+            via = (ci.certificate or {}).get("via")
+            if via:
+                first = next(n for n, v in direct.items() if v.holds)
+                assert via == first, (str(s), str(t))
+                assert ci.certificate == {"via": via,
+                                          **direct[via].certificate}
 
         # (b) the four notions coincide on closed terms
         rng = random.Random(101)

@@ -383,21 +383,68 @@ def test_the_verdict_dump_runs():
 
 def test_ci_no_counterexample_over_inert_signature(corpus_tsss):
     t = corpus_tsss["Choice0"]
-    v = ci_bisim(parse_term("plus(x, y)", t), App("zero"), t,
-                 Bounds(term_size=4))
-    assert v.inconclusive
-    assert "no counterexample" in v.reason
+    s = parse_term("plus(x, y)", t)
+    # neither game holds, so the sweep answers
+    assert fh_bisim(s, App("zero"), t).fails
+    assert hp_bisim(s, App("zero"), t).fails
+    v = ci_bisim(s, App("zero"), t, Bounds(term_size=4))
+    assert v.to_json() == {
+        "verdict": "inconclusive",
+        "reason": "no counterexample up to bound (term size 4, 4 substitutions)"}
 
 
 def test_ci_witness_is_replayable(corpus_tsss):
     t = corpus_tsss["ChoiceA"]
     v = ci_bisim(parse_term("plus(x, y)", t), App("zero"), t, SMALL)
     assert v.fails
+    assert v.witness == {
+        "sigma": {"x": "a", "y": "a"},
+        "instance": ["plus(a, a)", "zero"],
+        "distinguisher": {"side": "left", "label": "a", "move": "zero",
+                          "from": "plus(a, a)", "responses": []}}
     sigma = {name: parse_term(text, t)
              for name, text in v.witness["sigma"].items()}
     lhs = apply_subst(sigma, parse_term("plus(x, y)", t))
     rhs = apply_subst(sigma, App("zero"))
     assert strong_bisim(lhs, rhs, t).fails
+
+
+def test_ci_holds_via_fh_with_its_certificate(corpus_tsss, monkeypatch):
+    ext = corpus_tsss["CcsExt"]
+    s = parse_term("plus(plus(x, y), z)", ext)
+    t = parse_term("plus(x, plus(y, z))", ext)
+    bounds = Bounds(term_size=4)
+    fh = fh_bisim(s, t, ext, bounds)
+    assert fh.holds
+
+    def no_sweep(*args):
+        raise AssertionError("swept although fh holds")
+
+    monkeypatch.setattr(bisim, "_ci_sweep", no_sweep)
+    v = ci_bisim(s, t, ext, bounds)
+    assert v.holds and not v.vacuous
+    assert v.reason == "fh-bisimilar, which implies ci"
+    assert v.certificate == {"via": "fh", **fh.certificate}
+
+
+SEED_100_DRAW_46 = ('tss T { labels: a; op c0/0; op g0/2; op g1/1; '
+                    'rule "r0": |- c0 -a-> g1(c0); '
+                    'rule "r1": x0 -a-> y0, x1 -a-> y1 |- g0(x0, x1) -a-> c0; '
+                    'rule "r2": |- g0(x0, x1) -a-> c0; }')
+
+
+def test_ci_holds_via_hp_where_fh_does_not():
+    # draw 46 of seed 100 in tests/dump_verdicts.py
+    t = parse(SEED_100_DRAW_46).tss("T")
+    s, u = parse_term("g0(x, x)", t), parse_term("g0(x, y)", t)
+    assert not fh_bisim(s, u, t).holds
+    hp = hp_bisim(s, u, t)
+    assert hp.holds
+    v = ci_bisim(s, u, t)
+    assert v.reason == "hp-bisimilar, which implies ci"
+    assert v.certificate == {"via": "hp", **hp.certificate}
+    # the sweep finds no counterexample either
+    assert bisim._ci_sweep(s, u, t, Bounds()).inconclusive
 
 
 def test_ci_closed_pair_delegates_to_strong(corpus_tsss):
@@ -413,6 +460,20 @@ def test_ci_vacuous_without_constants(corpus_tsss):
                  parse_term("pre_tau(resA(x))", res), res)
     assert v.holds and v.vacuous
     assert v.to_json()["vacuous"] is True
+
+
+def test_ci_vacuity_is_decided_before_the_games(corpus_tsss, monkeypatch):
+    def no_game(*args):
+        raise AssertionError("a game ran on a vacuous pair")
+
+    monkeypatch.setattr(bisim, "fh_bisim", no_game)
+    monkeypatch.setattr(bisim, "hp_bisim", no_game)
+    res = corpus_tsss["Res"]
+    v = ci_bisim(parse_term("resB(resA(x))", res),
+                 parse_term("resAB(x)", res), res)
+    assert v.to_json() == {
+        "verdict": "holds", "vacuous": True,
+        "reason": "no constants in signature: no closing substitutions exist"}
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +564,9 @@ def test_hierarchy_on_sample_pairs(corpus_tsss):
         if fh.holds:
             assert not hp.fails, (name, ls, rs)
         if hp.holds:
-            assert not ci.fails, (name, ls, rs)
+            # ci answers through the games, so the sweep is asked directly
+            assert ci.holds, (name, ls, rs)
+            assert not bisim._ci_sweep(s1, s2, t, SMALL).fails, (name, ls, rs)
 
 
 def test_closed_term_coincidence(corpus_tsss):

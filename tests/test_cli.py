@@ -261,8 +261,9 @@ def test_advise_reads_equations_from_eqs(tmp_path, capsys):
 
 def test_env_bounds_override(capsys, monkeypatch):
     monkeypatch.setenv("OPENSOS_BOUNDS", "term_size=2,depth=6")
-    code, out, _ = run(capsys, "check", "ci", "plus(x, y)", "plus(y, x)",
-                       "--spec", EX1, "--tss", "Ccs")
+    # fh and hp do not hold on this pair, so ci reaches the sweep
+    code, out, _ = run(capsys, "check", "ci", "plus(x, y)", "zero",
+                       "--spec", EX5, "--tss", "Choice0")
     assert code == 3
     assert "term size 2" in out
 

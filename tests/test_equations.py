@@ -192,6 +192,21 @@ def test_advisor_guarantees_label_criteria(corpus_docs):
         assert not axiom.contradiction
 
 
+def test_advisor_names_the_evidence_of_ci_theorems(corpus_docs):
+    ci_theorems = ("robust-extension-labels", "non-evolving-criteria")
+    cases = (("ex1", "Ccs", "CcsExt", "comm", "holds via fh"),
+             ("sec43b", "Res", "Par", "hide", "holds"),
+             ("ex5", "Choice0", "ChoiceA", "inert", "inconclusive"))
+    for spec, base, ext, name, evidence in cases:
+        doc = corpus_docs[spec]
+        report = preservation_advisor(_theory(doc, base, name), doc.tss(base),
+                                      doc.tss(ext), "ci", SMALL)
+        (axiom,) = report.axioms
+        for theorem in ci_theorems:
+            assert axiom.theorems[theorem]["verdict_on_base"] == evidence, (
+                spec, theorem)
+
+
 def test_advisor_reports_broken_forwarding_axiom(corpus_docs):
     doc = corpus_docs["ex3"]
     theory = _theory(doc, "F", "forward")
@@ -337,7 +352,7 @@ eq "unit": f(x) = f(x) @ Many;
                                   "ci", SMALL)
     (axiom,) = report.axioms
     assert axiom.theorems["non-evolving-criteria"] == {
-        "applies": False,
+        "applies": False, "verdict_on_base": "holds",
         "label_guard": "17 labels means 131072 subsets; pass force to override"}
     assert axiom.classification == GUARANTEED
 
