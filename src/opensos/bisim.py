@@ -330,6 +330,7 @@ def _ci_sweep(s: Term, t: Term, tss: Tss, bounds: Bounds) -> Verdict:
 
 
 EMPTY: frozenset[Hyp] = frozenset()
+NO_CAPS: frozenset[str] = frozenset()  # a state whose obligations fired no cap
 
 
 def _is_proper(state) -> bool:
@@ -457,8 +458,17 @@ class _Game:
     so Fails verdicts are definitive even under the pair cap.  Each
     obligation counts its options not yet lost and each state lists the
     obligations waiting on it, so a loss spreads once along those lists
-    (Liu and Smolka's linear-time fixpoint scheme).  Each notion supplies
-    `obligations`, `describe` and `certificate`.
+    (Liu and Smolka's linear-time fixpoint scheme).
+
+    A state's obligations do not depend on `proper` or the pair cap, so they
+    are built once per TSS and notion (`build`): the fh, pfh and ci's fh
+    games share one table, and hp, php and ci's hp step another, both kept
+    in the TSS's memo with the raw-to-normal-form table.  Only the states
+    lost at the start differ.  An obligation is a pair (how, options):
+    `options` the normal states that may answer it, least by
+    `_state_key_str` first, and `how` the objects `render` turns into its
+    description when a witness is written.  Each notion supplies
+    `obligations`, `render`, `describe` and `certificate`.
     """
 
     SIZE_CAP = 24  # per-side operator-node budget for explored derivatives
@@ -470,7 +480,13 @@ class _Game:
         self.proper = proper
         # the bounds that fired: "pair", "size" and/or "hypothesis"
         self.capped: set[str] = set()
-        self.norms: dict = {}  # raw state -> its normal form, made once
+        # raw state -> its normal form, shared by every game on this TSS
+        self.norms: dict = tss._memo.setdefault("normal-forms", {})
+        # normal state -> (its obligations, the caps building them fired),
+        # shared by the plain and proper game of this notion; the caps in
+        # the key keep a table from answering for another budget
+        self.table: dict = tss._memo.setdefault(
+            ("obligations", type(self), self.SIZE_CAP, self.HYP_CAP), {})
         self.key = functools.cache(_state_key_str)  # the sort key, made once
 
     def norm(self, s: Term, t: Term, gamma: frozenset[Hyp]):
@@ -478,6 +494,19 @@ class _Game:
         if raw not in self.norms:
             self.norms[raw] = _norm_state(s, t, gamma)
         return self.norms[raw]
+
+    def build(self, key) -> tuple:
+        """The obligations of state `key`, made once per TSS; the caps that
+        making them fired are put back into `capped` on every read."""
+        entry = self.table.get(key)
+        if entry is None:
+            outer, self.capped = self.capped, set()
+            obligations = tuple(self.obligations(key))
+            entry = self.table[key] = (obligations,
+                                       frozenset(self.capped) or NO_CAPS)
+            self.capped = outer
+        self.capped |= entry[1]
+        return entry[0]
 
     def key_size(self, key) -> int:
         s, t, gamma = key
@@ -522,7 +551,7 @@ class _Game:
         root = self.norm(s, t, EMPTY)
         queue = [root]  # every state queued, in breadth-first order
         seen = {root}
-        lost: dict = {}  # state -> the (description, options) that lost it
+        lost: dict = {}  # state -> the (how, options) obligation that lost it
         waiting: dict = {}  # state -> [[live options, owner, obligation], ...]
         for built, key in enumerate(queue):
             if root in lost:
@@ -530,7 +559,7 @@ class _Game:
             if built >= self.pair_cap:
                 self.capped.add("pair")
                 break
-            obs = [[len(o[1]), key, o] for o in self.obligations(key)]
+            obs = [[len(o[1]), key, o] for o in self.build(key)]
             for ob in obs:
                 for opt in ob[2][1]:
                     if opt in lost:
@@ -548,7 +577,7 @@ class _Game:
                         queue.append(opt)
             dead = [ob[2] for ob in obs if not ob[0]]
             if self.proper and not _is_proper(key):
-                dead.insert(0, ({"improper": self.describe(key)}, None))
+                dead.insert(0, (None, None))  # an improper pair
             if not dead:
                 continue
             lost[key] = dead[0]
@@ -573,11 +602,16 @@ class _Game:
         return Verdict(INCONCLUSIVE, "%s reached without closure" % fired)
 
     def _witness(self, key, lost) -> dict:
-        # a losing obligation's options were all lost before it: the trace ends
+        """The trace from `key` along the obligations that lost each state,
+        each rendered here from the objects its entry keeps.  A losing
+        obligation's options were all lost before it, so the trace ends."""
         trace = []
         while True:
-            desc, options = lost[key]
-            step = {"state": self.describe(key), "obligation": desc}
+            how, options = lost[key]
+            step = {"state": self.describe(key),
+                    "obligation": ({"improper": self.describe(key)}
+                                   if options is None
+                                   else self.render(key, how, options))}
             trace.append(step)
             if options is None:  # an improper pair
                 break
@@ -601,8 +635,8 @@ class _FhGame(_Game):
                 for r2 in responses if len(r2.hyps) == len(r.hyps)
                 for emb in _embeddings(r2, r.hyps)
             }
-            desc = {"from": [str(a), str(b)], "ruloid": str(r)}
-            obligations.append((desc, sorted(options, key=self.key)))
+            obligations.append(((a, b, r),
+                                tuple(sorted(options, key=self.key))))
         # closed under merging each pair of variables is closed under every
         # merge, since a merge is a sequence of pairwise ones
         names = sorted(vars_of(s) | vars_of(t))
@@ -610,12 +644,15 @@ class _FhGame(_Game):
             self.norm(_rename({y: x}, s), _rename({y: x}, t), EMPTY)
             for x, y in itertools.combinations(names, 2))
         for variant in sorted(variants, key=self.key):
-            obligations.append(
-                ({"from": [str(s), str(t)],
-                  "merged-variant": [str(variant[0]), str(variant[1])]},
-                 [variant])
-            )
+            obligations.append((None, (variant,)))
         return obligations
+
+    def render(self, key, how, options) -> dict:
+        if how is None:  # the merged variant that is its one option
+            return {"from": self.describe(key),
+                    "merged-variant": self.describe(options[0])}
+        a, b, r = how
+        return {"from": [str(a), str(b)], "ruloid": str(r)}
 
     def describe(self, key):
         return [str(key[0]), str(key[1])]
@@ -651,14 +688,18 @@ class _HpGame(_Game):
                     for emb in _embeddings(r2, gamma2):
                         b2 = _rename(emb, r2.target)
                         options.add(self.norm(a2, b2, _gc(a2, b2, gamma2)))
-                desc = {
-                    "from": [str(a), str(b)],
-                    "ruloid": str(r),
-                    "aligned-gamma": sorted(str(h) for h in merged),
-                    "accumulated": sorted(str(h) for h in gamma2),
-                }
-                obligations.append((desc, sorted(options, key=self.key)))
+                obligations.append(((a, b, r, merged),
+                                    tuple(sorted(options, key=self.key))))
         return obligations
+
+    def render(self, key, how, options) -> dict:
+        a, b, r, merged = how
+        return {
+            "from": [str(a), str(b)],
+            "ruloid": str(r),
+            "aligned-gamma": sorted(str(h) for h in merged),
+            "accumulated": sorted(str(h) for h in merged | key[2]),
+        }
 
     def describe(self, key):
         s, t, gamma = key

@@ -12,13 +12,15 @@ older commit can be stopped before them.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/dump_verdicts.py > verdicts.jsonl
 
-then `diff` the files written at two commits.
+then `diff` the files written at two commits.  When it ends it prints the
+seconds spent answering each notion's questions to stderr.
 """
 from __future__ import annotations
 
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 from opensos import App, Bounds, Var, check, parse, parse_term
@@ -102,20 +104,29 @@ def cases():
            ("strong",))
 
 
-def rows(questions):
-    """One JSON line per notion of each of `questions` (as from `cases`)."""
+def rows(questions, seconds: dict | None = None):
+    """One JSON line per notion of each of `questions` (as from `cases`);
+    the time each `check` took is added to `seconds[notion]`, if given."""
+    seconds = {} if seconds is None else seconds
     for label, s, t, tss, bounds, notions in questions:
         for notion in notions:
+            start = time.perf_counter()
             v = check(notion, s, t, tss, bounds)
+            seconds[notion] = (seconds.get(notion, 0.0)
+                               + time.perf_counter() - start)
             row = {"case": label, "notion": notion, "pair": [str(s), str(t)],
                    **v.to_json()}
             yield json.dumps(row, sort_keys=True)
 
 
 def main() -> int:
-    for line in rows(cases()):
+    seconds: dict[str, float] = {}
+    for line in rows(cases(), seconds):
         sys.stdout.write(line + "\n")
         sys.stdout.flush()
+    sys.stderr.write("seconds by notion: %s; total %.2f\n" % (
+        ", ".join("%s %.2f" % kv for kv in sorted(seconds.items())),
+        sum(seconds.values())))
     return 0
 
 

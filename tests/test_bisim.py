@@ -8,6 +8,7 @@ from opensos import (
     App,
     Bounds,
     Hyp,
+    Tss,
     Var,
     apply_subst,
     check,
@@ -826,21 +827,126 @@ ITEM3 = ('tss T { labels: a; op c0/0; op g0/1; '
 
 
 def test_each_raw_game_state_is_normalised_once(monkeypatch):
-    item3 = parse(ITEM3).tss("T")
     norm, key = bisim._norm_state, bisim._state_key_str
-    raw, keyed = [], []
+    raw, keyed, built = [], [], []
     monkeypatch.setattr(bisim, "_norm_state",
                         lambda *a: raw.append(a) or norm(*a))
     monkeypatch.setattr(bisim, "_state_key_str",
                         lambda state: keyed.append(state) or key(state))
+    for game in (bisim._FhGame, bisim._HpGame):
+        obligations = game.obligations
+        monkeypatch.setattr(game, "obligations",
+                            lambda g, k, obligations=obligations:
+                            built.append(k) or obligations(g, k))
+    c0, g0c0 = App("c0"), App("g0", (App("c0"),))
     for checker in (fh_bisim, hp_bisim):
+        item3 = parse(ITEM3).tss("T")  # a TSS no game has played on yet
         raw.clear()
         keyed.clear()
-        v = checker(App("c0"), App("g0", (App("c0"),)), item3,
-                    Bounds(pair_cap=150))
+        v = checker(c0, g0c0, item3, Bounds(pair_cap=150))
         assert v.reason == "pair cap 150 reached without closure"
         assert len(raw) == len(set(raw)) > 150, checker.__name__
         assert len(keyed) <= 3 * len(raw), checker.__name__
+    # a second game on the same TSS rebuilds nothing
+    item3 = parse(ITEM3).tss("T")
+    cold = fh_bisim(c0, g0c0, item3, Bounds(pair_cap=150))
+    raw.clear()
+    keyed.clear()
+    built.clear()
+    warm = fh_bisim(c0, g0c0, item3, Bounds(pair_cap=150))
+    assert warm.to_json() == cold.to_json()
+    assert raw == keyed == built == []
+
+
+def _fresh(layers: dict) -> dict:
+    """Copies of a base and its extensions that no game has played on."""
+    old = layers["base"]
+    base = Tss(old.name, old.signature, old.labels, old.rules)
+    return {where: base if tss is old else
+            Tss(tss.name, tss.signature, tss.labels, tss.rules, base)
+            for where, tss in layers.items()}
+
+
+def test_warm_game_tables_answer_as_a_fresh_tss_does():
+    # criterion 8's bounds; the questions of open-games on one base and its
+    # extensions, in that order and reversed, each also asked on a TSS of
+    # its own
+    bounds = Bounds(term_size=2, depth=8, state_cap=150, pair_cap=300)
+    order = [(notion, where) for where in ("base", "ext0", "ext1")
+             for notion in ("fh", "hp", "pfh", "php", "ci")]
+    rng = random.Random(16)
+    draws, kinds = 0, []
+    while draws < 200:
+        base = random_tss(rng)
+        layers = {"base": base,
+                  "ext0": random_extension(rng, base, add_label=False),
+                  "ext1": random_extension(rng, base, add_label=True)}
+        s = random_open_term(rng, base, 2)
+        t = random_open_term(rng, base, 2)
+        if s == t:
+            continue  # the identity relation answers without a game
+        draws += 1
+        cold = {(notion, where):
+                check(notion, s, t, _fresh(layers)[where], bounds).to_json()
+                for notion, where in order}
+        for questions in (order, order[::-1]):
+            warm = _fresh(layers)
+            for notion, where in questions:
+                v = check(notion, s, t, warm[where], bounds)
+                assert v.to_json() == cold[notion, where], \
+                    (notion, where, str(s), str(t))
+                kinds.append(v.kind)
+    assert kinds.count("holds") > 500 and kinds.count("fails") > 500
+
+
+SIZE_CAPPED = ('tss T { labels: a; op c0/0; op c1/0; op g0/1; '
+               'rule "r0": |- c1 -a-> c1; '
+               'rule "r1": |- g0(x0) -a-> g0(x0); }')
+
+
+def test_a_warm_table_replays_the_caps_its_states_fired(monkeypatch):
+    c0, g0c0 = App("c0"), App("g0", (App("c0"),))
+    warm = parse(ITEM3).tss("T")
+    for checker in GAMES:  # pfh and php find their tables filled
+        cold = checker(c0, g0c0, parse(ITEM3).tss("T"), Bounds(pair_cap=150))
+        for _ in range(2):
+            v = checker(c0, g0c0, warm, Bounds(pair_cap=150))
+            assert v.reason == cold.reason, checker.__name__
+    # c1 ~ g0(g0(c0)) answers itself through its only state; below the
+    # defender's size of 3, a cap fires while the root's obligations are
+    # built, and nowhere else
+    t = parse(SIZE_CAPPED).tss("T")
+    c1, g = App("c1"), App("g0", (g0c0,))
+    monkeypatch.setattr(bisim._Game, "SIZE_CAP", 2)
+    for checker in GAMES:
+        cold = checker(c1, g, parse(SIZE_CAPPED).tss("T"))
+        assert cold.reason == "size cap 2 reached without closure"
+        for _ in range(2):
+            assert checker(c1, g, t).to_json() == cold.to_json()
+    # a table never answers for another size cap
+    monkeypatch.setattr(bisim._Game, "SIZE_CAP", 24)
+    for checker in GAMES:
+        assert checker(c1, g, t).holds, checker.__name__
+    monkeypatch.setattr(bisim._Game, "SIZE_CAP", 2)
+    for checker in GAMES:
+        assert checker(c1, g, t).reason == "size cap 2 reached without closure"
+
+
+def test_a_base_table_never_answers_for_an_extension():
+    # g0(y) ~ y holds on the base; the extension's label z tells them apart
+    text = ('tss B { labels: a; op c0/0; op g0/1; '
+            'rule "r0": |- c0 -a-> g0(g0(c0)); rule "r1": |- c0 -a-> c0; '
+            'rule "r2": x0 -a-> y0 |- g0(x0) -a-> y0; } '
+            'tss E extends B { labels: z; op n0/1; '
+            'rule "e0": |- n0(x0) -z-> x0; '
+            'rule "e1": x0 -a-> y0 |- n0(x0) -a-> g0(c0); }')
+    doc = parse(text)
+    s, t = App("g0", (Var("y"),)), Var("y")
+    for checker in (fh_bisim, hp_bisim):
+        cold = checker(s, t, parse(text).tss("E"))
+        assert cold.fails
+        assert checker(s, t, doc.tss("B")).holds
+        assert checker(s, t, doc.tss("E")).to_json() == cold.to_json()
 
 
 def test_refinement_stops_once_the_roots_split(monkeypatch):
