@@ -6,13 +6,14 @@ hold at once under every notion, certified by the identity relation.
 
 fh and hp are one game over states (s, t, gamma): two open terms and the
 hypotheses accumulated on their variables, which fh leaves empty.  They
-share one normal form (`_norm_state`), one budget policy
-(`_Game.challenges`) and one solver, which builds the game breadth-first,
-solves it on the fly and stops once the root is lost; a notion only says
-how a defender ruloid may answer an attacker's.  Both work at the
-most-general-ruloid level, and hypothesis-target merging is covered
-explicitly (merged pair variants for fh, alignment maps for hp), so Holds
-is sound and Fails always bottoms out in a concretely unmatched ruloid.
+share one normal form (`_norm_state`), one budget policy (`_Game.over`,
+whose caps are options that never lose) and one solver, which builds the
+game breadth-first, solves it on the fly and stops once the root is lost;
+a notion only says how a defender ruloid may answer an attacker's.  Both
+work at the most-general-ruloid level, and hypothesis-target merging is
+covered explicitly (merged pair variants for fh, alignment maps for hp),
+so Holds is sound and Fails always bottoms out in a concretely unmatched
+ruloid.
 
 ci on open terms answers through that hierarchy first (fh ⊆ hp ⊆ ci): an
 fh or hp Holds is a ci Holds carrying its certificate under "via".  Only
@@ -86,8 +87,10 @@ class Bounds:
     pair_cap: int = 5_000
 
     def __post_init__(self):
-        if not all(type(v) is int and v > 0 for v in vars(self).values()):
-            raise ValueError("bounds must be positive")
+        for name, value in vars(self).items():
+            if type(value) is not int or value <= 0:
+                raise ValueError("bound %s must be a positive integer, got %r"
+                                 % (name, value))
 
 
 def _identity() -> Verdict:
@@ -214,21 +217,21 @@ def _distinguish(p: int, q: int, levels, out, names) -> dict:
     return root
 
 
-def strong_bisim(p: Term, q: Term, tss: Tss, bounds: Bounds = Bounds(),
-                 certify: bool = True) -> Verdict:
+def strong_bisim(p: Term, q: Term, tss: Tss,
+                 bounds: Bounds = Bounds()) -> Verdict:
     """Strong bisimilarity of two closed terms, by partition refinement of
     the explored part of their LTSs, decided up to min(depth, horizon)
     steps.
 
     When both LTSs close within the caps the answer is exact: Holds with
-    the partition of all states as certificate (none without `certify`),
-    or Fails with a witness built from the k-step partitions.  When a cap
-    truncates an LTS, `explore` records its horizon, the distance of the
-    state it cut short, and keeps the edges of the states it expanded in
-    full, which include every state nearer the root.  So every level of the
-    refinement up to `depth` and the horizons is exact for the roots: a
-    split there is a definitive Fails, and otherwise the verdict is
-    inconclusive and names the cap.
+    the partition of all states as certificate, or Fails with a witness
+    built from the k-step partitions.  When a cap truncates an LTS,
+    `explore` records its horizon, the distance of the state it cut short,
+    and keeps the edges of the states it expanded in full, which include
+    every state nearer the root.  So every level of the refinement up to
+    `depth` and the horizons is exact for the roots: a split there is a
+    definitive Fails, and otherwise the verdict is inconclusive and names
+    the cap.
     """
     if p == q:
         return _identity()
@@ -249,8 +252,6 @@ def strong_bisim(p: Term, q: Term, tss: Tss, bounds: Bounds = Bounds(),
         if cap:
             return Verdict(INCONCLUSIVE, "%s exceeded; %d-step bisimilar"
                            % (cap, reach))
-        if not certify:
-            return Verdict(HOLDS, "partition refinement")
         classes: dict[int, list[str]] = {}
         for s, b in zip(states, block):
             classes.setdefault(b, []).append(str(s))
@@ -306,9 +307,7 @@ def _ci_sweep(s: Term, t: Term, tss: Tss, bounds: Bounds) -> Verdict:
     for images in itertools.product(pool, repeat=len(names)):
         sigma = dict(zip(names, images))
         p, q = apply_subst(sigma, s), apply_subst(sigma, t)
-        # an instance that holds builds no certificate; one that fails
-        # ends the sweep with its witness
-        inner = strong_bisim(p, q, tss, bounds, certify=False)
+        inner = strong_bisim(p, q, tss, bounds)
         count += 1
         if inner.fails:
             witness = {
@@ -330,7 +329,6 @@ def _ci_sweep(s: Term, t: Term, tss: Tss, bounds: Bounds) -> Verdict:
 
 
 EMPTY: frozenset[Hyp] = frozenset()
-NO_CAPS: frozenset[str] = frozenset()  # a state whose obligations fired no cap
 
 
 def _is_proper(state) -> bool:
@@ -450,7 +448,7 @@ def _embeddings(cand: Ruloid, gamma):
 class _Game:
     """Shared safety-game core, built breadth-first from one queue and solved
     on the fly.  The search ends when the root is lost, the queue is empty
-    or the pair cap fires; a state or ruloid over a cap blocks only Holds.
+    or the pair cap fires.
 
     A state is lost when some obligation has only lost options (an
     obligation with no options at all is an unmatched ruloid) or, in the
@@ -460,15 +458,22 @@ class _Game:
     obligations waiting on it, so a loss spreads once along those lists
     (Liu and Smolka's linear-time fixpoint scheme).
 
+    A cap is an option that never loses.  Where the size or hypothesis cap
+    refuses a derivative state, or an attacker or response ruloid, the
+    obligation lists the cap's name in place of the states refused, so
+    the cap blocks Holds without forcing Fails.  The root is built
+    whatever its size.
+
     A state's obligations do not depend on `proper` or the pair cap, so they
-    are built once per TSS and notion (`build`): the fh, pfh and ci's fh
-    games share one table, and hp, php and ci's hp step another, both kept
-    in the TSS's memo with the raw-to-normal-form table.  Only the states
-    lost at the start differ.  An obligation is a pair (how, options):
-    `options` the normal states that may answer it, least by
-    `_state_key_str` first, and `how` the objects `render` turns into its
-    description when a witness is written.  Each notion supplies
-    `obligations`, `render`, `describe` and `certificate`.
+    are built once per TSS, notion and caps (`build`): the fh, pfh and ci's
+    fh games share one table, and hp, php and ci's hp step another, both
+    kept in the TSS's memo with the raw-to-normal-form table.  Only the
+    states lost at the start differ.  An obligation is a pair (how,
+    options): `options` the normal states that may answer it, least by
+    `_state_key_str` first, then the names of the caps that refused
+    others, and `how` the objects `render` turns into its description when
+    a witness is written.  Each notion supplies `answers`, `render`,
+    `describe` and `certificate`.
     """
 
     SIZE_CAP = 24  # per-side operator-node budget for explored derivatives
@@ -478,16 +483,16 @@ class _Game:
         self.tss = tss
         self.pair_cap = pair_cap
         self.proper = proper
-        # the bounds that fired: "pair", "size" and/or "hypothesis"
-        self.capped: set[str] = set()
         # raw state -> its normal form, shared by every game on this TSS
         self.norms: dict = tss._memo.setdefault("normal-forms", {})
-        # normal state -> (its obligations, the caps building them fired),
-        # shared by the plain and proper game of this notion; the caps in
-        # the key keep a table from answering for another budget
+        # normal state -> its obligations, shared by the plain and proper
+        # game of this notion; the caps in the key keep a table from
+        # answering for another budget
         self.table: dict = tss._memo.setdefault(
             ("obligations", type(self), self.SIZE_CAP, self.HYP_CAP), {})
-        self.key = functools.cache(_state_key_str)  # the sort key, made once
+        # the sort key of an option, made once: states before caps
+        self.key = functools.cache(lambda o: (1, o) if isinstance(o, str)
+                                   else (0, _state_key_str(o)))
 
     def norm(self, s: Term, t: Term, gamma: frozenset[Hyp]):
         raw = (s, t, gamma)
@@ -495,55 +500,48 @@ class _Game:
             self.norms[raw] = _norm_state(s, t, gamma)
         return self.norms[raw]
 
-    def build(self, key) -> tuple:
-        """The obligations of state `key`, made once per TSS; the caps that
-        making them fired are put back into `capped` on every read."""
-        entry = self.table.get(key)
-        if entry is None:
-            outer, self.capped = self.capped, set()
-            obligations = tuple(self.obligations(key))
-            entry = self.table[key] = (obligations,
-                                       frozenset(self.capped) or NO_CAPS)
-            self.capped = outer
-        self.capped |= entry[1]
-        return entry[0]
-
-    def key_size(self, key) -> int:
-        s, t, gamma = key
-        # merge-map and embedding enumeration is combinatorial in the
-        # accumulated hypotheses, so a growing gamma counts against the
-        # budget much faster than growing terms do
-        return max(term_size(s), term_size(t), 6 * len(gamma))
-
-    def ruloid_oversized(self, r: Ruloid) -> str | None:
-        """The bound a ruloid exceeds, if any."""
-        if term_size(r.target) > self.SIZE_CAP:
+    def over(self, size: int, hyps: int) -> str | None:
+        """The cap that a state or ruloid of `size` operator nodes (on its
+        larger side) and `hyps` hypotheses is over, if any."""
+        if size > self.SIZE_CAP:
             return "size"
-        if len(r.hyps) > self.HYP_CAP:
+        if hyps > self.HYP_CAP:
             return "hypothesis"
         return None
 
-    def challenges(self, s: Term, t: Term):
-        """(attacker side, defender side, ruloid, same-label responses), one
-        per obligation that can be posed within the budget.
+    def option(self, s: Term, t: Term, gamma: frozenset[Hyp]):
+        """A derivative state as an option: the name of the cap it is over,
+        else its normal form.  Merge maps and embeddings are combinatorial
+        in the accumulated hypotheses, so gamma has a cap of its own."""
+        return (self.over(max(term_size(s), term_size(t)), len(gamma))
+                or self.norm(s, t, gamma))
 
-        An oversized attacker ruloid is dropped: that blocks Holds (capped)
-        without forcing Fails.  An oversized response makes the obligation
-        count as met at this bound, never as refuted.
-        """
+    def build(self, key) -> tuple:
+        """The obligations of state `key`, made once per TSS."""
+        if key not in self.table:
+            self.table[key] = tuple(self.obligations(key))
+        return self.table[key]
+
+    def obligations(self, key) -> list:
+        """One obligation per attacker ruloid of either side, or the
+        notion's `answers` to it.  An attacker ruloid over a cap, or else
+        one with a response over a cap, is one obligation whose options are
+        those caps' names."""
+        s, t, gamma = key
+        obligations = []
         for a, b in ((s, t), (t, s)):
             for r in ruloids(a, self.tss):
-                cap = self.ruloid_oversized(r)
-                if cap:
-                    self.capped.add(cap)
-                    continue
                 responses = [r2 for r2 in ruloids(b, self.tss)
                              if r2.label == r.label]
-                caps = {self.ruloid_oversized(r2) for r2 in responses} - {None}
+                cap = self.over(term_size(r.target), len(r.hyps))
+                caps = {cap} if cap else {
+                    self.over(term_size(r2.target), len(r2.hyps))
+                    for r2 in responses} - {None}
                 if caps:
-                    self.capped |= caps
+                    obligations.append((None, tuple(sorted(caps))))
                 else:
-                    yield a, b, r, responses
+                    obligations += self.answers(gamma, a, b, r, responses)
+        return obligations
 
     def run(self, s: Term, t: Term) -> Verdict:
         if s == t:
@@ -553,28 +551,25 @@ class _Game:
         seen = {root}
         lost: dict = {}  # state -> the (how, options) obligation that lost it
         waiting: dict = {}  # state -> [[live options, owner, obligation], ...]
+        capped: set[str] = set()  # the caps met: "pair", "size", "hypothesis"
         for built, key in enumerate(queue):
             if root in lost:
                 break
             if built >= self.pair_cap:
-                self.capped.add("pair")
+                capped.add("pair")
                 break
             obs = [[len(o[1]), key, o] for o in self.build(key)]
             for ob in obs:
                 for opt in ob[2][1]:
                     if opt in lost:
                         ob[0] -= 1
+                    elif isinstance(opt, str):  # a cap: never built or lost
+                        capped.add(opt)
                     else:
                         waiting.setdefault(opt, []).append(ob)
-                    if opt not in seen:
-                        if self.key_size(opt) > self.SIZE_CAP:
-                            # runaway derivative growth: leave this state
-                            # unexplored and search on; Holds is then out of
-                            # reach at these bounds, Fails stays definitive
-                            self.capped.add("size")
-                            continue
-                        seen.add(opt)
-                        queue.append(opt)
+                        if opt not in seen:
+                            seen.add(opt)
+                            queue.append(opt)
             dead = [ob[2] for ob in obs if not ob[0]]
             if self.proper and not _is_proper(key):
                 dead.insert(0, (None, None))  # an improper pair
@@ -591,14 +586,14 @@ class _Game:
         if root in lost:
             return Verdict(FAILS, "unmatched ruloid",
                            witness=self._witness(root, lost))
-        if not self.capped:  # so every state seen was built
+        if not capped:  # so every state seen was built
             good = self.certificate([k for k in seen if k not in lost])
             return Verdict(HOLDS, "relation closed", certificate=good)
         caps = {"pair": "pair cap %d" % self.pair_cap,
                 "size": "size cap %d" % self.SIZE_CAP,
                 "hypothesis": "hypothesis cap %d" % self.HYP_CAP}
         fired = " and ".join(text for name, text in caps.items()
-                             if name in self.capped)
+                             if name in capped)
         return Verdict(INCONCLUSIVE, "%s reached without closure" % fired)
 
     def _witness(self, key, lost) -> dict:
@@ -626,22 +621,22 @@ class _FhGame(_Game):
     """Hypotheses match one to one, up to renaming their targets; the
     relation must also contain every variable-merging variant of a pair."""
 
+    def answers(self, gamma, a, b, r, responses) -> list:
+        options = {
+            self.option(r.target, _rename(emb, r2.target), EMPTY)
+            for r2 in responses if len(r2.hyps) == len(r.hyps)
+            for emb in _embeddings(r2, r.hyps)
+        }
+        return [((a, b, r), tuple(sorted(options, key=self.key)))]
+
     def obligations(self, key) -> list:
         s, t, _ = key
-        obligations = []
-        for a, b, r, responses in self.challenges(s, t):
-            options = {
-                self.norm(r.target, _rename(emb, r2.target), EMPTY)
-                for r2 in responses if len(r2.hyps) == len(r.hyps)
-                for emb in _embeddings(r2, r.hyps)
-            }
-            obligations.append(((a, b, r),
-                                tuple(sorted(options, key=self.key))))
+        obligations = super().obligations(key)
         # closed under merging each pair of variables is closed under every
         # merge, since a merge is a sequence of pairwise ones
         names = sorted(vars_of(s) | vars_of(t))
         variants = dict.fromkeys(
-            self.norm(_rename({y: x}, s), _rename({y: x}, t), EMPTY)
+            self.option(_rename({y: x}, s), _rename({y: x}, t), EMPTY)
             for x, y in itertools.combinations(names, 2))
         for variant in sorted(variants, key=self.key):
             obligations.append((None, (variant,)))
@@ -673,23 +668,21 @@ class _HpGame(_Game):
     """The attacker's fresh hypotheses are aligned into gamma first; the
     defender's must then embed into the accumulated hypotheses."""
 
-    def obligations(self, key) -> list:
-        s, t, gamma = key
+    def answers(self, gamma, a, b, r, responses) -> list:
         obligations = []
-        for a, b, r, responses in self.challenges(s, t):
-            for mu in _merge_maps(r, gamma):
-                merged = frozenset(
-                    Hyp(h.source, h.label, mu[h.target]) for h in r.hyps
-                )
-                gamma2 = merged | gamma
-                a2 = _rename(mu, r.target)
-                options = set()
-                for r2 in responses:
-                    for emb in _embeddings(r2, gamma2):
-                        b2 = _rename(emb, r2.target)
-                        options.add(self.norm(a2, b2, _gc(a2, b2, gamma2)))
-                obligations.append(((a, b, r, merged),
-                                    tuple(sorted(options, key=self.key))))
+        for mu in _merge_maps(r, gamma):
+            merged = frozenset(
+                Hyp(h.source, h.label, mu[h.target]) for h in r.hyps
+            )
+            gamma2 = merged | gamma
+            a2 = _rename(mu, r.target)
+            options = set()
+            for r2 in responses:
+                for emb in _embeddings(r2, gamma2):
+                    b2 = _rename(emb, r2.target)
+                    options.add(self.option(a2, b2, _gc(a2, b2, gamma2)))
+            obligations.append(((a, b, r, merged),
+                                tuple(sorted(options, key=self.key))))
         return obligations
 
     def render(self, key, how, options) -> dict:

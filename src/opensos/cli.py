@@ -200,8 +200,7 @@ def q_explore(doc, a, bounds):
 def q_check(doc, a, bounds):
     tss = _pick_tss(doc, a.tss)
     v = check(a.notion, _term(a.lhs, tss), _term(a.rhs, tss), tss, bounds)
-    return v.kind, v.to_json(), (["%s: %s" % (v.kind, v.reason)] if v.reason
-                                 else [v.kind])
+    return v.kind, v.to_json(), ["%s: %s" % (v.kind, v.reason)]
 
 
 def q_fertility(doc, a, bounds):

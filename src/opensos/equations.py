@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 from .terms import (
     App,
     Equation,
+    SignatureError,
     Term,
     Var,
     apply_subst,
+    check_term,
     term_size,
     vars_of,
 )
@@ -275,7 +277,16 @@ def _evidence(v: Verdict) -> str:
 def preservation_advisor(theory: EquationalTheory, base: Tss, ext: Tss,
                          notion: str, bounds: Bounds = Bounds()
                          ) -> PreservationReport:
+    """Every axiom's preservation report; an axiom over an operator the
+    base does not declare is a ValueError naming both."""
     extrep = validate_disjoint_extension(base, ext)
+    for eq in theory.axioms:
+        for side in (eq.lhs, eq.rhs):
+            try:
+                check_term(side, base.all_signature)
+            except SignatureError as exc:
+                raise ValueError("equation %s is not over base %s: %s"
+                                 % (eq.name or eq, base.name, exc)) from None
     fmt_ok = validate_positive_gsos(ext).ok
     valid = extrep.disjoint and fmt_ok
     new_labels = adds_labels(base, ext)

@@ -13,7 +13,12 @@ older commit can be stopped before them.  Run from the repository root:
     PYTHONPATH=src python3 tests/dump_verdicts.py > verdicts.jsonl
 
 then `diff` the files written at two commits.  When it ends it prints the
-seconds spent answering each notion's questions to stderr.
+seconds spent answering each notion's questions to stderr.  With
+`--pinned` it writes only the corpus and named-input rows, which
+tests/pinned_verdicts.jsonl keeps and tier-1 compares line by line:
+
+    PYTHONPATH=src python3 tests/dump_verdicts.py --pinned \
+        > tests/pinned_verdicts.jsonl
 """
 from __future__ import annotations
 
@@ -38,6 +43,14 @@ TINY_CAP = Bounds(depth=6, state_cap=4)  # truncates most infinite LTSs early
 
 def cases():
     """(label, lhs, rhs, tss, bounds, notions) for every question asked."""
+    yield from corpus_cases()
+    yield from draw_cases()
+    yield from named_cases()
+
+
+def corpus_cases():
+    """Every corpus equation on every TSS of its file that has its
+    operators."""
     for path in sorted((ROOT / "corpus").glob("*.sos")):
         doc = parse(path.read_text())
         for i, eq in enumerate(doc.equations):
@@ -49,6 +62,10 @@ def cases():
                     continue  # an operator the TSS does not declare
                 yield ("%s eq%d %s" % (path.stem, i, tss.name),
                        eq.lhs, eq.rhs, tss, Bounds(), GAMES + ("ci",))
+
+
+def draw_cases():
+    """The draws of `gen.py`."""
     for seed in range(100, 104):
         rng = random.Random(seed)
         for n in range(300):
@@ -67,6 +84,10 @@ def cases():
                         yield ("seed %d draw %d %s %s bounds %d"
                                % (seed, n, kind, tss.name, b),
                                s, t, tss, bounds, notions)
+
+
+def named_cases():
+    """The named inputs of perfbench/specs, the slow ones last."""
     specs = ROOT / "perfbench" / "specs"
 
     def spec(name):
@@ -119,9 +140,18 @@ def rows(questions, seconds: dict | None = None):
             yield json.dumps(row, sort_keys=True)
 
 
-def main() -> int:
+def pinned_cases():
+    """The questions whose rows tests/pinned_verdicts.jsonl keeps."""
+    yield from corpus_cases()
+    yield from named_cases()
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--pinned"]):
+        raise SystemExit("usage: dump_verdicts.py [--pinned]")
     seconds: dict[str, float] = {}
-    for line in rows(cases(), seconds):
+    questions = pinned_cases() if argv else cases()
+    for line in rows(questions, seconds):
         sys.stdout.write(line + "\n")
         sys.stdout.flush()
     sys.stderr.write("seconds by notion: %s; total %.2f\n" % (
@@ -131,4 +161,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

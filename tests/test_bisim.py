@@ -2,6 +2,9 @@ import itertools
 import json
 import random
 import re
+from pathlib import Path
+
+import pytest
 
 from opensos import (
     NOTIONS,
@@ -39,6 +42,19 @@ SMALL = Bounds(term_size=2, depth=8, state_cap=200, pair_cap=500)
 def test_bounds_defaults():
     b = Bounds()
     assert (b.term_size, b.depth, b.state_cap, b.pair_cap) == (3, 12, 10_000, 5_000)
+
+
+def test_bounds_name_the_field_they_refuse():
+    for fields, message in (
+            ({"pair_cap": "x"}, "bound pair_cap must be a positive integer, "
+                                "got 'x'"),
+            ({"depth": True}, "bound depth must be a positive integer, "
+                              "got True"),
+            ({"term_size": 0, "state_cap": -1},
+             "bound term_size must be a positive integer, got 0")):
+        with pytest.raises(ValueError) as exc:
+            Bounds(**fields)
+        assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +394,17 @@ def test_the_verdict_dump_runs():
     assert kinds <= {"holds", "fails", "inconclusive"}
 
 
+def test_the_pinned_verdict_rows_stay_as_committed():
+    # the dump's corpus and named-input rows; after a deliberate change,
+    # write the file again with `dump_verdicts.py --pinned`
+    pinned = Path(dump_verdicts.__file__).with_name("pinned_verdicts.jsonl")
+    want = pinned.read_text().splitlines()
+    got = list(dump_verdicts.rows(dump_verdicts.pinned_cases()))
+    for expected, actual in zip(want, got):
+        assert actual == expected
+    assert len(got) == len(want)
+
+
 # ---------------------------------------------------------------------------
 # ci
 
@@ -613,19 +640,29 @@ def test_hp_leaves_a_state_over_the_size_budget_unexplored(monkeypatch):
               'rule "r3": |- g1(x0, x1) -a-> g0(g1(c0, x0), g0(c0, x1)); '
               'rule "r4": x0 -a-> y0 |- g1(x0, x1) -a-> g1(x1, x1); }'
               ).tss("T")
-    over, key_size = [], bisim._Game.key_size
+    over, option = bisim._Game.over, bisim._Game.option
+    fired, states = [], []  # every cap met; the states refused by one
 
-    def recording(game, key):
-        size = key_size(game, key)
-        if size > game.SIZE_CAP:
-            over.append(len(key[2]))
-        return size
+    def recording_over(game, size, hyps):
+        cap = over(game, size, hyps)
+        if cap:
+            fired.append(cap)
+        return cap
 
-    monkeypatch.setattr(bisim._Game, "key_size", recording)
+    def recording_option(game, s, t, gamma):
+        opt = option(game, s, t, gamma)
+        if isinstance(opt, str):
+            states.append((opt, len(gamma)))
+        return opt
+
+    monkeypatch.setattr(bisim._Game, "over", recording_over)
+    monkeypatch.setattr(bisim._Game, "option", recording_option)
     v = hp_bisim(App("c0"), parse_term("g1(g0(x, y), g1(y, x))", t), t,
                  Bounds(term_size=2, depth=8, state_cap=150, pair_cap=300))
-    assert v.reason == "size cap 24 reached without closure"
-    assert over and all(6 * hyps > bisim._Game.SIZE_CAP for hyps in over)
+    assert v.reason == "hypothesis cap 4 reached without closure"
+    assert states and all(cap == "hypothesis" and hyps > bisim._Game.HYP_CAP
+                          for cap, hyps in states)
+    assert len(fired) == len(states)  # no ruloid was over a cap
 
 
 def test_identical_pairs_hold_under_every_notion():
@@ -722,15 +759,52 @@ def test_a_state_whose_option_was_lost_before_it_was_built_loses():
         assert checker(c0, c3, t).fails, checker.__name__
 
 
+MERGED = ('tss T { labels: a, b, c, d, e; op z/0; op A/2; op B/2; '
+          'op L/2; op M/2; op p/2; op q/2; op u/2; '
+          'rule "Ap": |- A(x1, x2) -a-> p(x1, x1); '
+          'rule "Aq": |- A(x1, x2) -a-> q(x1, x1); '
+          'rule "Bp": |- B(x1, x2) -a-> p(x1, x1); '
+          'rule "Bq": |- B(x1, x2) -a-> q(x1, x1); '
+          'rule "AL": |- A(x1, x2) -b-> L(x1, x2); '
+          'rule "BM": |- B(x1, x2) -b-> M(x1, x2); '
+          'rule "Lp": |- L(x1, x2) -c-> p(x1, x2); '
+          'rule "Mq": |- M(x1, x2) -c-> q(x1, x2); '
+          'rule "pu": |- p(x1, x2) -d-> u(x1, x2); '
+          'rule "qz": |- q(x1, x2) -d-> z; '
+          'rule "ue": |- u(x1, x2) -e-> z; }')
+
+
+def test_fh_witness_steps_through_a_merged_variant_lost_first():
+    # the root's a-moves reach (p(x, x), q(x, x)), which an a-answer to
+    # the same term keeps from losing the root; it is lost one level down,
+    # before (p(x, y), q(x, y)) is built through the b- and c-moves, so
+    # that pair loses by its merged variant while its own d-moves are open
+    t = parse(MERGED).tss("T")
+    s, u = parse_term("A(x, y)", t), parse_term("B(x, y)", t)
+    for checker in (fh_bisim, pfh_bisim):
+        trace = checker(s, u, t).witness["trace"]
+        assert [step["obligation"].get("ruloid") for step in trace] == [
+            "|- A(v0, v1) -b-> L(v0, v1)", "|- L(v0, v1) -c-> p(v0, v1)",
+            None, "|- p(v0, v0) -d-> u(v0, v0)", "|- u(v0, v0) -e-> z"]
+        assert trace[2] == {"state": ["p(v0, v1)", "q(v0, v1)"],
+                            "obligation": {
+                                "from": ["p(v0, v1)", "q(v0, v1)"],
+                                "merged-variant": ["p(v0, v0)", "q(v0, v0)"]}}
+        assert trace[3]["state"] == ["p(v0, v0)", "q(v0, v0)"]
+        assert trace[-1]["unmatched"]
+        assert all("unmatched" not in step for step in trace[:-1])
+
+
 def _sweep(game, s, t):
     """Reference solver: build every reachable state through `obligations`,
-    leaving a state over the size cap unexplored (it is never lost), then
-    sweep for lost states until nothing changes.  The verdict kind and
+    where the name of a cap is an option that is never lost, then sweep
+    for lost states until nothing changes.  The verdict kind and
     certificate; None when the pair cap fires, or when another bound fired
     and the root is not lost."""
     root = _norm_state(s, t, EMPTY)
     graph: dict = {}
     todo = [root]
+    capped = False
     while todo:
         key = todo.pop()
         if key in graph:
@@ -740,8 +814,8 @@ def _sweep(game, s, t):
         graph[key] = [opts for _, opts in game.obligations(key)]
         for opts in graph[key]:
             for o in opts:
-                if game.key_size(o) > game.SIZE_CAP:
-                    game.capped.add("size")
+                if isinstance(o, str):
+                    capped = True
                 else:
                     todo.append(o)
     lost: set = set()
@@ -759,7 +833,7 @@ def _sweep(game, s, t):
                 changed = True
     if root in lost:
         return "fails", None
-    if game.capped:  # a state or ruloid over the size or hypothesis cap
+    if capped:  # a state or ruloid over the size or hypothesis cap
         return None
     return "holds", game.certificate([k for k in graph if k not in lost])
 

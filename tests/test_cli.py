@@ -259,6 +259,18 @@ def test_advise_reads_equations_from_eqs(tmp_path, capsys):
     assert (code, out, err) == (1, "forward: broken\n", "")
 
 
+def test_advise_refuses_an_equation_over_an_extension_operator(tmp_path,
+                                                               capsys):
+    eqs = tmp_path / "eqs.sos"
+    eqs.write_text('eq "tauext": plus(pre_tau(x), zero) = pre_tau(x) '
+                   '@ CcsExt;\n')
+    code, out, err = run(capsys, "advise", "--spec", EX1, "--eqs", str(eqs),
+                         "--tss", "Ccs", "--ext", "CcsExt", "--notion", "fh")
+    assert (code, out) == (2, "")
+    assert err == ("error: equation tauext is not over base Ccs: "
+                   "undeclared operator 'pre_tau'\n")
+
+
 def test_env_bounds_override(capsys, monkeypatch):
     monkeypatch.setenv("OPENSOS_BOUNDS", "term_size=2,depth=6")
     # fh and hp do not hold on this pair, so ci reaches the sweep
@@ -284,7 +296,7 @@ def test_nonpositive_bound_is_an_input_error(capsys):
     code, _, err = run(capsys, "check", "ci", "x", "x", "--spec", EX1,
                        "--tss", "Ccs", "--term-size", "0")
     assert code == 2
-    assert err == "error: bounds must be positive\n"
+    assert err == "error: bound term_size must be a positive integer, got 0\n"
 
 
 def test_corpus_runner_passes_shipped_fixtures(capsys):
@@ -434,7 +446,8 @@ def test_a_malformed_manifest_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "corpus", str(tmp_path), "--json")
     assert (code, err) == (1, "")
     assert [r["actual"] for r in json.loads(out)["fixtures"]] == [
-        "error: bounds must be positive", "error: bounds must be positive",
+        "error: bound pair_cap must be a positive integer, got 'x'",
+        "error: bound pair_cap must be a positive integer, got 0",
         "ok", "error: unknown bound 'paircap'"]
 
 

@@ -1,3 +1,5 @@
+import pytest
+
 from opensos import (
     App,
     Bounds,
@@ -329,6 +331,19 @@ def test_advisor_offers_the_extension_criteria_only_under_ci():
         assert axiom.recheck_on_extension.fails, notion
         assert axiom.classification == BROKEN and axiom.theorem is None
         assert not axiom.contradiction, notion
+
+
+def test_advisor_refuses_an_axiom_the_base_cannot_state(corpus_docs):
+    # an equation pinned to the extension, over its operator pre_tau
+    doc = corpus_docs["ex1"]
+    ccs, ext = doc.tss("Ccs"), doc.tss("CcsExt")
+    tauext = Equation(parse_term("plus(pre_tau(x), zero)", ext),
+                      parse_term("pre_tau(x)", ext), "tauext", "CcsExt")
+    theory = EquationalTheory((tauext,), ccs)
+    with pytest.raises(ValueError) as exc:
+        preservation_advisor(theory, ccs, ext, "fh", SMALL)
+    assert str(exc.value) == ("equation tauext is not over base Ccs: "
+                              "undeclared operator 'pre_tau'")
 
 
 def test_advisor_names_the_label_guard():
