@@ -34,6 +34,7 @@ from .terms import (
     canonical_names,
     enumerate_closed_terms,
     is_closed,
+    show_all,
     term_size,
     var_order,
     vars_of,
@@ -46,8 +47,11 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
+    """A three-valued answer.  Frozen, since a TSS keeps its strong verdicts
+    and hands the same object to every caller that asks again."""
+
     kind: str
     reason: str = ""
     certificate: object = None
@@ -232,7 +236,21 @@ def strong_bisim(p: Term, q: Term, tss: Tss,
     `depth` and the horizons is exact for the roots: a split there is a
     definitive Fails, and otherwise the verdict is inconclusive and names
     the cap.
+
+    The TSS keeps each verdict, keyed by the pair and the two bounds read
+    here (`depth` and `state_cap`), so asking again, or asking ci of the
+    same closed pair, returns the stored verdict.
     """
+    table = tss._memo.setdefault("strong", {})
+    key = (p, q, bounds.depth, bounds.state_cap)
+    v = table.get(key)
+    if v is None:
+        v = table[key] = _strong(p, q, tss, bounds)
+    return v
+
+
+def _strong(p: Term, q: Term, tss: Tss, bounds: Bounds) -> Verdict:
+    """`strong_bisim` without its table."""
     if p == q:
         return _identity()
     open_sides = [str(side) for side in (p, q) if not is_closed(side)]
@@ -248,16 +266,16 @@ def strong_bisim(p: Term, q: Term, tss: Tss,
     reach = min(bounds.depth, *cuts) if cuts else len(states)
     levels = _refine(succ, reach, 0, qi)
     block = levels[-1]
+    if block[0] == block[qi] and cap:
+        return Verdict(INCONCLUSIVE, "%s exceeded; %d-step bisimilar"
+                       % (cap, reach))
+    names = show_all(states)
     if block[0] == block[qi]:
-        if cap:
-            return Verdict(INCONCLUSIVE, "%s exceeded; %d-step bisimilar"
-                           % (cap, reach))
         classes: dict[int, list[str]] = {}
-        for s, b in zip(states, block):
-            classes.setdefault(b, []).append(str(s))
+        for name, b in zip(names, block):
+            classes.setdefault(b, []).append(name)
         cert = {"partition": sorted(sorted(c) for c in classes.values())}
         return Verdict(HOLDS, "partition refinement", certificate=cert)
-    names = [str(s) for s in states]
     out = [sorted(edges, key=lambda e: (e[0], names[e[1]])) for edges in succ]
     reason = ("distinguished within depth bound" if cap
               else "distinguished by partition refinement")
@@ -307,7 +325,7 @@ def _ci_sweep(s: Term, t: Term, tss: Tss, bounds: Bounds) -> Verdict:
     for images in itertools.product(pool, repeat=len(names)):
         sigma = dict(zip(names, images))
         p, q = apply_subst(sigma, s), apply_subst(sigma, t)
-        inner = strong_bisim(p, q, tss, bounds)
+        inner = _strong(p, q, tss, bounds)  # kept out of the verdict table
         count += 1
         if inner.fails:
             witness = {

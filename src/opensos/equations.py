@@ -9,7 +9,7 @@ every axiom empirically on the extended TSS.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .terms import (
     App,
@@ -197,8 +197,9 @@ def soundness_sweep(theory: EquationalTheory, notion: str,
     out = []
     for eq in theory.axioms:
         v = check(notion, eq.lhs, eq.rhs, target, bounds)
-        v.reason = (v.reason + "; " if v.reason else "") + THEORY_CAVEAT
-        out.append((eq, v))
+        # a copy: the verdict may be one the TSS keeps for later callers
+        reason = (v.reason + "; " if v.reason else "") + THEORY_CAVEAT
+        out.append((eq, replace(v, reason=reason)))
     return out
 
 

@@ -146,27 +146,32 @@ def transitions(p: Term, tss: Tss) -> tuple[tuple[str, Term], ...]:
     """
     if not is_closed(p):
         raise ValueError("transitions requires a closed term, got %s" % p)
-    cache = tss._memo.setdefault("transitions", {})
-    if p in cache:
-        return cache[p]
-    assert isinstance(p, App)
+    return _transitions(p, tss, tss._memo.setdefault("transitions", {}))
+
+
+def _transitions(p: App, tss: Tss, cache: dict
+                 ) -> tuple[tuple[str, Term], ...]:
+    """`transitions` of the closed term p, kept in `cache`: each successor
+    is built by its rule's compiled target, and a rule with a premise that
+    has no move derives nothing."""
+    moves = cache.get(p)
+    if moves is not None:
+        return moves
+    args = p.args
     result: dict[tuple[str, Term], None] = {}
-    for shape in tss.defining_shapes(p.op):
-        binding: dict[str, Term] = {
-            x: arg for x, arg in zip(shape.source_vars, p.args)
-        }
-        choice_lists = []
-        for (idx, plabel, ptarget) in shape.premises:
-            succ = [q for (l, q) in transitions(p.args[idx], tss)
+    for label, premises, build in tss.compiled_rules(p.op):
+        choices = []
+        for (idx, plabel) in premises:
+            succ = [q for (l, q) in _transitions(args[idx], tss, cache)
                     if l == plabel]
-            choice_lists.append((ptarget, succ))
-        for combo in itertools.product(*(cs for _, cs in choice_lists)):
-            env = dict(binding)
-            for (ptarget, _), q in zip(choice_lists, combo):
-                env[ptarget] = q
-            result.setdefault((shape.label, apply_subst(env, shape.target)))
-    cache[p] = tuple(result)
-    return cache[p]
+            if not succ:
+                break
+            choices.append(succ)
+        else:
+            for chosen in itertools.product(*choices):
+                result.setdefault((label, build(args, chosen)))
+    moves = cache[p] = tuple(result)
+    return moves
 
 
 def initial_actions(p: Term, tss: Tss) -> frozenset[str]:

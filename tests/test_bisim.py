@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -33,6 +34,7 @@ from opensos.bisim import EMPTY, _norm_state
 from opensos.cli import main
 
 import dump_verdicts
+from conftest import CORPUS
 from gen import (random_closed_term, random_extension, random_open_term,
                  random_tss)
 
@@ -309,14 +311,17 @@ PAR_WITNESS = {
 }
 
 
+CHAINS = ('tss Chains { labels: a, b, c; op nil/0; op pa/1; '
+          'op pb/1; op pc/1; op par/2; '
+          'rule "pa": |- pa(x) -a-> x; rule "pb": |- pb(x) -b-> x; '
+          'rule "pc": |- pc(x) -c-> x; '
+          'rule "par-l" forall l: x -l-> x2 |- par(x, y) -l-> par(x2, y); '
+          'rule "par-r" forall l: y -l-> y2 |- par(x, y) -l-> par(x, y2); '
+          '}')
+
+
 def test_strong_witness_on_par_chains_is_pinned():
-    chains = parse('tss Chains { labels: a, b, c; op nil/0; op pa/1; '
-                   'op pb/1; op pc/1; op par/2; '
-                   'rule "pa": |- pa(x) -a-> x; rule "pb": |- pb(x) -b-> x; '
-                   'rule "pc": |- pc(x) -c-> x; '
-                   'rule "par-l" forall l: x -l-> x2 |- par(x, y) -l-> par(x2, y); '
-                   'rule "par-r" forall l: y -l-> y2 |- par(x, y) -l-> par(x, y2); '
-                   '}').tss("Chains")
+    chains = parse(CHAINS).tss("Chains")
     # one a-step short on the left: told apart only at the third level
     p = parse_term("par(pa(pa(nil)), par(pb(pb(pb(nil))), pc(pc(pc(nil)))))",
                    chains)
@@ -1034,3 +1039,92 @@ def test_refinement_stops_once_the_roots_split(monkeypatch):
     # the roots split at round 1 156; the partition is stable only at
     # round 2 310
     assert len(kept[0]) == 1157
+
+
+# ---------------------------------------------------------------------------
+# the strong verdict table
+
+
+def _count_closed_work(monkeypatch) -> list[str]:
+    """The names of the explore and _refine calls bisim makes from now on."""
+    calls = []
+    explore, refine = bisim.explore, bisim._refine
+    monkeypatch.setattr(bisim, "explore",
+                        lambda *a: calls.append("explore") or explore(*a))
+    monkeypatch.setattr(bisim, "_refine",
+                        lambda *a: calls.append("refine") or refine(*a))
+    return calls
+
+
+def _chain_pairs(tss):
+    """A pair of par chains that holds, one that fails and one that a
+    state cap of 20 leaves inconclusive."""
+    def term(text):
+        return parse_term(text, tss)
+    left = term("par(pa(pa(nil)), par(pb(pb(pb(nil))), pc(pc(pc(nil)))))")
+    right = term("par(par(pa(pa(nil)), pb(pb(pb(nil)))), pc(pc(pc(nil))))")
+    longer = term("par(par(pa(pa(pa(nil))), pb(pb(pb(nil)))), pc(pc(pc(nil))))")
+    return [(left, right, Bounds()), (left, longer, Bounds()),
+            (left, right, Bounds(state_cap=20))]
+
+
+def test_a_closed_pair_is_decided_once_per_tss(monkeypatch):
+    calls = _count_closed_work(monkeypatch)
+    kinds = []
+    for first, then in itertools.product(("strong", "ci"), repeat=2):
+        t = parse(CHAINS).tss("Chains")
+        for p, q, bounds in _chain_pairs(t):
+            calls.clear()
+            v = check(first, p, q, t, bounds)
+            assert calls.count("explore") == 2 and "refine" in calls
+            calls.clear()
+            again = check(then, p, q, t, bounds)
+            assert calls == [], (first, then, v.kind)
+            assert again.to_json() == v.to_json()
+            kinds.append(v.kind)
+    assert set(kinds) == {"holds", "fails", "inconclusive"}
+
+
+def test_the_table_is_keyed_by_the_bounds_strong_reads(monkeypatch):
+    calls = _count_closed_work(monkeypatch)
+    t = parse(CHAINS).tss("Chains")
+    for p, q, bounds in _chain_pairs(t):
+        strong_bisim(p, q, t, bounds)
+        for field, recomputes in (("depth", True), ("state_cap", True),
+                                  ("term_size", False), ("pair_cap", False)):
+            change = {field: getattr(bounds, field) + 1}
+            other = dataclasses.replace(bounds, **change)
+            calls.clear()
+            v = strong_bisim(p, q, t, other)
+            assert bool(calls) == recomputes, field
+            fresh = parse(CHAINS).tss("Chains")
+            assert v.to_json() == strong_bisim(p, q, fresh, other).to_json()
+
+
+def test_a_base_table_never_answers_strong_for_an_extension():
+    # c0 ~ g0(c0) on the base; the extension adds a z move to c0 alone
+    doc = parse('tss B { labels: a; op c0/0; op g0/1; '
+                'rule "r0": |- c0 -a-> c0; '
+                'rule "r1": x -a-> y |- g0(x) -a-> g0(y); } '
+                'tss E extends B { labels: z; rule "e0": |- c0 -z-> c0; }')
+    p, q = App("c0"), App("g0", (App("c0"),))
+    for checker in (strong_bisim, ci_bisim):
+        assert checker(p, q, doc.tss("B")).holds
+        assert checker(p, q, doc.tss("E")).fails
+        assert checker(p, q, doc.tss("B")).holds
+
+
+def test_a_ci_sweep_leaves_the_strong_table_empty(monkeypatch):
+    swept = []
+    strong = bisim._strong
+    monkeypatch.setattr(bisim, "_strong",
+                        lambda *a: swept.append(a[:2]) or strong(*a))
+    ext = parse((CORPUS / "ex1.sos").read_text()).tss("CcsExt")
+    v = ci_bisim(parse_term("plus(x, x)", ext), Var("x"), ext)
+    assert v.fails and "sigma" in v.witness
+    t = parse(SEED_100_DRAW_46).tss("T")
+    v = bisim._ci_sweep(parse_term("g0(x, x)", t), parse_term("g0(x, y)", t),
+                        t, Bounds())
+    assert v.inconclusive
+    assert len(swept) > 10
+    assert not ext._memo.get("strong") and not t._memo.get("strong")

@@ -178,6 +178,20 @@ def test_sweep_detects_unsound_axioms_on_extension(corpus_docs):
     assert not results["assoc"].fails
 
 
+def test_a_sweep_never_changes_the_verdicts_a_tss_keeps():
+    from conftest import CORPUS
+
+    ccs = parse((CORPUS / "ex1.sos").read_text()).tss("Ccs")
+    lhs = parse_term("plus(zero, pre_a(zero))", ccs)
+    rhs = parse_term("pre_a(zero)", ccs)
+    theory = EquationalTheory((Equation(lhs, rhs, "closed"),), ccs)
+    for notion in ("strong", "ci"):
+        for _ in range(2):
+            [(_, v)] = soundness_sweep(theory, notion)
+            assert v.holds and v.reason.count(THEORY_CAVEAT) == 1
+        assert THEORY_CAVEAT not in check(notion, lhs, rhs, ccs).reason
+
+
 # ---------------------------------------------------------------------------
 # preservation advisor
 

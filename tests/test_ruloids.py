@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -20,6 +21,8 @@ from opensos import (
     vars_of,
 )
 from opensos.ruloids import Hyp
+
+from gen import random_extension, random_tss
 
 
 def _rstrs(rs):
@@ -209,3 +212,75 @@ def test_ruloids_are_deterministic(corpus_tsss):
     assert ruloids(s, ccs) == first
     fresh = parse((CORPUS / "ex1.sos").read_text()).tss("Ccs")
     assert tuple(map(str, ruloids(s, fresh))) == tuple(map(str, first))
+
+
+def _by_substitution(p, tss, cache):
+    """`transitions` as derived before rule targets were compiled: each
+    target instantiated by `apply_subst` on the source and premise
+    bindings.  Kept as the reference the compiled builders must match."""
+    if p in cache:
+        return cache[p]
+    result = {}
+    for shape in tss.defining_shapes(p.op):
+        binding = dict(zip(shape.source_vars, p.args))
+        choice_lists = []
+        for (idx, plabel, ptarget) in shape.premises:
+            succ = [q for (l, q) in _by_substitution(p.args[idx], tss, cache)
+                    if l == plabel]
+            choice_lists.append((ptarget, succ))
+        for combo in itertools.product(*(cs for _, cs in choice_lists)):
+            env = dict(binding)
+            for (ptarget, _), q in zip(choice_lists, combo):
+                env[ptarget] = q
+            result.setdefault((shape.label, apply_subst(env, shape.target)))
+    cache[p] = tuple(result)
+    return cache[p]
+
+
+TARGETS = ('tss T { labels: a, b, c, z; op k/0; op m/0; op g/1; op h/2; '
+           'op f/2; '
+           'rule "k": |- k -a-> m; rule "m1": |- m -b-> k; '
+           'rule "m2": |- m -b-> g(k); rule "g": x -b-> x2 |- g(x) -a-> x2; '
+           'rule "source": |- f(x, y) -a-> x; '
+           'rule "premise": y -b-> y2 |- f(x, y) -b-> y2; '
+           'rule "repeated": |- f(x, y) -c-> h(y, y); '
+           'rule "closed": x -a-> x2 |- f(x, y) -a-> h(g(m), x2); '
+           'rule "nested": x -a-> x2, y -b-> y2 |- '
+           'f(x, y) -c-> h(g(h(x2, y)), h(y2, g(h(x2, y)))); '
+           'rule "constant": |- f(x, y) -b-> k; '
+           'rule "no-move": y -z-> y2 |- f(x, y) -a-> y2; '
+           'rule "h": x -a-> x2 |- h(x, y) -a-> h(y, x2); }')
+
+
+def test_compiled_targets_build_what_substitution_builds():
+    t = parse(TARGETS).tss("T")
+    cache = {}
+    for p in enumerate_closed_terms(t.all_signature, 4):
+        assert transitions(p, t) == _by_substitution(p, t, cache), str(p)
+    # every target shape derives on this pair, in rule and premise order;
+    # "constant" repeats premise's (b, k), and "no-move" derives nothing,
+    # as no term moves on z
+    p = parse_term("f(g(m), m)", t)
+    assert [(l, str(q)) for l, q in transitions(p, t)] == [
+        ("a", "g(m)"),
+        ("b", "k"), ("b", "g(k)"),
+        ("c", "h(m, m)"),
+        ("a", "h(g(m), k)"), ("a", "h(g(m), g(k))"),
+        ("c", "h(g(h(k, m)), h(k, g(h(k, m))))"),
+        ("c", "h(g(h(k, m)), h(g(k), g(h(k, m))))"),
+        ("c", "h(g(h(g(k), m)), h(k, g(h(g(k), m))))"),
+        ("c", "h(g(h(g(k), m)), h(g(k), g(h(g(k), m))))")]
+
+
+def test_compiled_targets_on_random_draws():
+    rng = random.Random(18)
+    moves = 0
+    for _ in range(200):
+        base = random_tss(rng)
+        for tss in (base, random_extension(rng, base, rng.random() < 0.5)):
+            cache = {}
+            for p in enumerate_closed_terms(tss.all_signature, 3):
+                derived = transitions(p, tss)
+                assert derived == _by_substitution(p, tss, cache), str(p)
+                moves += len(derived)
+    assert moves > 1_000
