@@ -34,7 +34,6 @@ from .terms import (
     canonical_names,
     enumerate_closed_terms,
     is_closed,
-    show_all,
     term_size,
     var_order,
     vars_of,
@@ -266,16 +265,16 @@ def _strong(p: Term, q: Term, tss: Tss, bounds: Bounds) -> Verdict:
     reach = min(bounds.depth, *cuts) if cuts else len(states)
     levels = _refine(succ, reach, 0, qi)
     block = levels[-1]
-    if block[0] == block[qi] and cap:
-        return Verdict(INCONCLUSIVE, "%s exceeded; %d-step bisimilar"
-                       % (cap, reach))
-    names = show_all(states)
     if block[0] == block[qi]:
+        if cap:
+            return Verdict(INCONCLUSIVE, "%s exceeded; %d-step bisimilar"
+                           % (cap, reach))
         classes: dict[int, list[str]] = {}
-        for name, b in zip(names, block):
-            classes.setdefault(b, []).append(name)
+        for s, b in zip(states, block):
+            classes.setdefault(b, []).append(str(s))
         cert = {"partition": sorted(sorted(c) for c in classes.values())}
         return Verdict(HOLDS, "partition refinement", certificate=cert)
+    names = [str(s) for s in states]
     out = [sorted(edges, key=lambda e: (e[0], names[e[1]])) for edges in succ]
     reason = ("distinguished within depth bound" if cap
               else "distinguished by partition refinement")

@@ -151,25 +151,28 @@ def transitions(p: Term, tss: Tss) -> tuple[tuple[str, Term], ...]:
 
 def _transitions(p: App, tss: Tss, cache: dict
                  ) -> tuple[tuple[str, Term], ...]:
-    """`transitions` of the closed term p, kept in `cache`: each successor
-    is built by its rule's compiled target, and a rule with a premise that
-    has no move derives nothing."""
+    """`transitions` of the closed term p, kept in `cache`.  A rule with a
+    premise that has no move derives nothing, so its later premises are not
+    asked."""
     moves = cache.get(p)
     if moves is not None:
         return moves
     args = p.args
     result: dict[tuple[str, Term], None] = {}
-    for label, premises, build in tss.compiled_rules(p.op):
+    for shape in tss.defining_shapes(p.op):
         choices = []
-        for (idx, plabel) in premises:
+        for (idx, plabel, _) in shape.premises:
             succ = [q for (l, q) in _transitions(args[idx], tss, cache)
                     if l == plabel]
             if not succ:
                 break
             choices.append(succ)
         else:
+            env = dict(zip(shape.source_vars, args))
+            targets = [y for (_, _, y) in shape.premises]
             for chosen in itertools.product(*choices):
-                result.setdefault((label, build(args, chosen)))
+                env.update(zip(targets, chosen))
+                result.setdefault((shape.label, apply_subst(env, shape.target)))
     moves = cache[p] = tuple(result)
     return moves
 

@@ -11,7 +11,7 @@ import itertools
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 
 @dataclass(frozen=True)
@@ -230,84 +230,31 @@ def is_linear(t: Term) -> bool:
     return len(occs) == len(set(occs))
 
 
-def show_all(terms: Sequence[Term]) -> list[str]:
-    """`[str(t) for t in terms]`, with the work shared.
-
-    A first pass counts the references to each node, from the list and
-    from the distinct nodes above it.  A node referenced twice or more is
-    printed once, and its text is kept until the call returns, so a subterm
-    that many terms share is walked once.  Only the terms asked for keep
-    their text on the node, as `str` leaves it: caching every subterm's
-    text would keep O(size x depth) characters alive on a deep term.
-    """
-    refs: dict[App, int] = {}
-    todo = list(terms)
-    while todo:
-        t = todo.pop()
-        if isinstance(t, App) and t.args and t._str is None:
-            refs[t] = refs.get(t, 0) + 1
-            if refs[t] == 1:
-                todo.extend(t.args)
-    texts: dict[App, str] = {}  # the shared nodes printed so far
-    shown = []
-    for term in terms:
-        if isinstance(term, Var):
-            shown.append(term.name)
-            continue
-        if term._str is None:
-            out: list[str] = []
-            stack: list = [term]  # iterative, as in `App.__str__`
-            while stack:
-                t = stack.pop()
-                if isinstance(t, str):
-                    out.append(t)
-                elif isinstance(t, tuple):  # the end of a shared node
-                    node, start = t
-                    text = texts[node] = "".join(out[start:])
-                    out[start:] = [text]
-                elif isinstance(t, Var):
-                    out.append(t.name)
-                elif t._str is not None:
-                    out.append(t._str)
-                elif not t.args:
-                    out.append(t.op)
-                elif t in texts:
-                    out.append(texts[t])
-                else:
-                    if refs[t] > 1:
-                        stack.append((t, len(out)))
-                    out.append(t.op + "(")
-                    stack.append(")")
-                    for i, a in enumerate(reversed(t.args)):
-                        stack.append(a)
-                        if i != len(t.args) - 1:
-                            stack.append(", ")
-            object.__setattr__(term, "_str", "".join(out))
-        shown.append(term._str)
-    return shown
-
-
 def apply_subst(sigma: Subst, t: Term) -> Term:
-    # memoized per shared subterm: derivative terms are heavily shared DAGs,
-    # and plain structural recursion revisits each shared node once per path
-    memo: dict[int, Term] = {}
-
-    def go(t: Term) -> Term:
-        if isinstance(t, Var):
-            return sigma.get(t.name, t)
-        if t.closed:
-            return t
-        done = memo.get(id(t))
-        if done is None:
-            done = App(t.op, tuple(go(a) for a in t.args))
-            memo[id(t)] = done
-        return done
-
     if isinstance(t, Var):
         return sigma.get(t.name, t)
     if t.closed:
         return t
-    return go(t)
+    return _subst(sigma, t, {})
+
+
+def _subst(sigma: Subst, t: App, memo: dict[App, Term]) -> Term:
+    # memoized per shared subterm: derivative terms are heavily shared DAGs,
+    # and plain structural recursion revisits each shared node once per path.
+    # A function of its own, not a closure over the memo: a closure that
+    # calls itself is a reference cycle, which keeps the memo and every node
+    # it built alive until the cyclic collector runs
+    done = memo.get(t)
+    if done is None:
+        args = []
+        for a in t.args:
+            if isinstance(a, Var):
+                a = sigma.get(a.name, a)
+            elif not a.closed:
+                a = _subst(sigma, a, memo)
+            args.append(a)
+        done = memo[t] = App(t.op, tuple(args))
+    return done
 
 
 def canonical_names(n: int, avoid: frozenset[str] = frozenset(),

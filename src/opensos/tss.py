@@ -2,8 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .terms import App, Signature, Term, Var, vars_of
 
@@ -81,55 +80,6 @@ def destructure_rule(rule: Rule) -> GsosShape:
         raise FormatViolation(
             "conclusion target uses unbound variables %s" % sorted(escape))
     return GsosShape(src.op, tuple(xs), tuple(prems), concl.label, concl.target)
-
-
-def compile_target(shape: GsosShape) -> Callable[[tuple, tuple], Term]:
-    """The shape's conclusion target as a function of the source's arguments
-    and the chosen premise targets (in premise order), made once.
-
-    The function fills one tuple of slots: the arguments, the premise
-    targets, the closed subterms of the target, then the target's open
-    nodes, children first, each built by one `App` call on the slots an
-    `itemgetter` picks.  So an instance walks no term and builds each
-    shared node once, and a target of any depth compiles.
-    """
-    # a variable's name or a subterm -> its index in the slots
-    slot: dict = {x: i for i, x in enumerate(shape.source_vars)}
-    for (_, _, y) in shape.premises:
-        slot[y] = len(slot)
-    order: dict[App, None] = {}  # the target's operator nodes, children first
-    stack: list = [(shape.target, False)]  # (node, children already ordered)
-    while stack:
-        t, ready = stack.pop()
-        if isinstance(t, Var) or t in order:
-            continue
-        if ready or t.closed:
-            order[t] = None
-        else:
-            stack.append((t, True))
-            stack.extend((a, False) for a in reversed(t.args))
-    consts = tuple(t for t in order if t.closed)
-    for t in consts:
-        slot[t] = len(slot)
-    program = []
-    for t in order:
-        if not t.closed:
-            refs = [slot[a.name if isinstance(a, Var) else a] for a in t.args]
-            # one index would pick the slot itself; a slice picks a 1-tuple
-            pick = (itemgetter(*refs) if len(refs) > 1
-                    else itemgetter(slice(refs[0], refs[0] + 1)))
-            program.append((t.op, pick))
-            slot[t] = len(slot)
-    target = shape.target
-    last = slot[target.name if isinstance(target, Var) else target]
-
-    def build(args: tuple, chosen: tuple) -> Term:
-        slots = args + chosen + consts
-        for op, pick in program:
-            slots += (App(op, pick(slots)),)
-        return slots[last]
-
-    return build
 
 
 def rule_head(rule: Rule) -> str | None:
@@ -217,19 +167,3 @@ class Tss:
         if violations:
             raise FormatViolation("rule %r: %s" % violations[0])
         return shapes.get(op, ())
-
-    def compiled_rules(self, op: str) -> tuple[
-            tuple[str, tuple[tuple[int, str], ...], Callable], ...]:
-        """The rules defining `op` as closed-term transitions use them,
-        compiled on first use: per GSOS shape in declaration order, its
-        label, its premises as (argument index, label), and the builder of
-        its target from `compile_target`.  They live in the memo, so they
-        die with the TSS."""
-        table = self._memo.setdefault("compiled-rules", {})
-        rules = table.get(op)
-        if rules is None:
-            rules = table[op] = tuple(
-                (shape.label, tuple((i, l) for (i, l, _) in shape.premises),
-                 compile_target(shape))
-                for shape in self.defining_shapes(op))
-        return rules

@@ -215,9 +215,10 @@ def test_ruloids_are_deterministic(corpus_tsss):
 
 
 def _by_substitution(p, tss, cache):
-    """`transitions` as derived before rule targets were compiled: each
-    target instantiated by `apply_subst` on the source and premise
-    bindings.  Kept as the reference the compiled builders must match."""
+    """`transitions` derived rule by rule with a fresh binding per premise
+    choice, asking every premise even after one has no move.  Kept as the
+    reference for `transitions`, which skips a rule at its first premise
+    without a move and reuses one binding across a rule's choices."""
     if p in cache:
         return cache[p]
     result = {}
@@ -252,12 +253,14 @@ TARGETS = ('tss T { labels: a, b, c, z; op k/0; op m/0; op g/1; op h/2; '
            'rule "h": x -a-> x2 |- h(x, y) -a-> h(y, x2); }')
 
 
-def test_compiled_targets_build_what_substitution_builds():
+def test_transitions_build_what_substitution_builds():
     t = parse(TARGETS).tss("T")
     cache = {}
     for p in enumerate_closed_terms(t.all_signature, 4):
         assert transitions(p, t) == _by_substitution(p, t, cache), str(p)
-    # every target shape derives on this pair, in rule and premise order;
+    # every target shape derives on this term, in rule and premise order:
+    # a bare source variable, a premise target, a repeated variable, a
+    # closed subterm, nested operators sharing a subterm and a constant.
     # "constant" repeats premise's (b, k), and "no-move" derives nothing,
     # as no term moves on z
     p = parse_term("f(g(m), m)", t)
@@ -272,7 +275,7 @@ def test_compiled_targets_build_what_substitution_builds():
         ("c", "h(g(h(g(k), m)), h(g(k), g(h(g(k), m))))")]
 
 
-def test_compiled_targets_on_random_draws():
+def test_transitions_on_random_draws():
     rng = random.Random(18)
     moves = 0
     for _ in range(200):

@@ -16,11 +16,8 @@ from opensos import (
     canonical_rename,
     enumerate_closed_terms,
     enumerate_open_terms,
-    explore,
     is_closed,
     is_linear,
-    parse,
-    parse_term,
     term_size,
     vars_of,
 )
@@ -138,6 +135,24 @@ def test_intern_table_drains_when_terms_die():
     assert ("probe", (App("zero"),) * 3) not in terms._interned
 
 
+def test_a_dropped_substitution_result_dies_without_the_collector():
+    # a call that left a reference cycle behind would keep the nodes it
+    # built alive until the cyclic collector runs
+    x = Var("x")
+    t = App("wrapq", (x, App("wrapq", (x, x))))
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(terms._interned)
+        for i in range(300):
+            apply_subst({"x": App("dropped%d" % i)}, t)
+        left = len(terms._interned) - before
+    finally:
+        gc.enable()
+    assert left == 0
+    assert str(apply_subst({"x": App("c")}, t)) == "wrapq(c, wrapq(c, c))"
+
+
 def test_terms_deeper_than_the_recursion_limit():
     n = 3 * sys.getrecursionlimit()
 
@@ -152,70 +167,6 @@ def test_terms_deeper_than_the_recursion_limit():
     assert hash(t) == hash(chain())
     assert t.depth == n + 1 and term_size(t) == n + 1
     assert str(t) == "pre_a(" * n + "zero" + ")" * n
-
-
-def _printed(t) -> str:
-    """The printed form of t, read off its structure alone."""
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.op
-    return "%s(%s)" % (t.op, ", ".join(_printed(a) for a in t.args))
-
-
-def _subterms(terms) -> set:
-    seen, todo = set(), list(terms)
-    while todo:
-        t = todo.pop()
-        if isinstance(t, App) and t not in seen:
-            seen.add(t)
-            todo.extend(t.args)
-    return seen
-
-
-# the benchmark's par chains under operator names of their own, so that no
-# other test has printed any of their nodes
-SHOW_CHAINS = ('tss C { labels: a, b, c; op snil/0; op sa/1; op sb/1; '
-               'op sc/1; op spar/2; rule "sa": |- sa(x) -a-> x; '
-               'rule "sb": |- sb(x) -b-> x; rule "sc": |- sc(x) -c-> x; '
-               'rule "l" forall l: x -l-> x2 |- spar(x, y) -l-> spar(x2, y); '
-               'rule "r" forall l: y -l-> y2 |- spar(x, y) -l-> spar(x, y2); }')
-
-
-def test_show_all_prints_what_str_prints():
-    tss = parse(SHOW_CHAINS).tss("C")
-    chain = "%s(" * 12 + "snil" + ")" * 12
-    root = parse_term("spar(%s, spar(%s, %s))" % tuple(
-        chain.replace("%s", op) for op in ("sa", "sb", "sc")), tss)
-    states = explore(root, tss).states
-    assert len(states) == 13 ** 3
-    inner = _subterms(states) - set(states)
-    assert all(t._str is None for t in _subterms(states))
-    assert terms.show_all(states) == [_printed(s) for s in states]
-    # only the states asked for keep their text
-    assert all(t._str is None for t in inner)
-    assert terms.show_all(states) == [str(s) for s in states]
-
-    rng = random.Random(18)
-    ops = {"zero": 0, "pre_a": 1, "plus": 2}
-    draws = [random_term(rng, ops, ["x", "y"], rng.randint(0, 6))
-             for _ in range(300)]
-    draws += [App("plus", (d, d)) for d in draws[:50]]
-    assert terms.show_all(draws) == [_printed(d) for d in draws]
-    assert terms.show_all(draws) == [str(d) for d in draws]
-
-
-def test_show_all_prints_a_deep_term_and_keeps_no_subterm_text():
-    n = 3 * sys.getrecursionlimit()
-    t = App("deep_z")
-    for _ in range(n):
-        t = App("deep_a", (t,))
-    shared = App("deep_pair", (t, t))
-    text = "deep_a(" * n + "deep_z" + ")" * n
-    assert terms.show_all([shared, t]) == ["deep_pair(%s, %s)" % (text, text),
-                                           text]
-    assert str(t) == text
-    assert all(s._str is None for s in _subterms([t]) - {t})
 
 
 def test_copies_and_pickles_are_the_interned_node():
