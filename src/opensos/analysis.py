@@ -42,27 +42,35 @@ class ExtensionReport:
         return not self.offending
 
 
+def _delta_layers(base: Tss, ext: Tss) -> tuple[Tss, ...]:
+    """The layers `ext` adds to `base`: every layer of `ext` after it.  An
+    `ext` that does not extend `base` is an error."""
+    layers = tuple(ext.layers())
+    if ext is base or base not in layers:
+        raise ValueError("%s does not extend %s" % (ext.name, base.name))
+    return layers[layers.index(base) + 1:]
+
+
 def validate_disjoint_extension(base: Tss, ext: Tss) -> ExtensionReport:
     """Check that every delta rule is f-defining for a new operator.
 
-    `ext` is the extension layer; only its own (non-base) declarations count
-    as the delta.  An `ext` that does not extend `base`, or an arity
-    conflict between layers, is a hard error.
+    The delta is every layer from `base` (exclusive) up to `ext`
+    (inclusive): their declarations together are the extension, whether
+    `ext` extends `base` directly or through other layers.  An `ext` that
+    does not extend `base`, or an arity conflict between layers, is a hard
+    error.
     """
-    if ext is base or base not in ext.layers():
-        raise ValueError("%s does not extend %s" % (ext.name, base.name))
-    base_sig = base.all_signature
+    delta = _delta_layers(base, ext)
+    base_sig = sig = base.all_signature
     try:
-        base_sig.merge(ext.signature)
+        for layer in delta:
+            sig = sig.merge(layer.signature)
     except Exception as exc:
         raise ArityConflictError(str(exc)) from exc
-    new_ops = set(ext.signature.names()) - set(base_sig.names())
-    bad = []
-    for rule in ext.rules:
-        head = rule_head(rule)
-        if head is None or head not in new_ops:
-            bad.append(rule.name)
-    return ExtensionReport(tuple(bad))
+    new_ops = set(sig.names()) - set(base_sig.names())
+    return ExtensionReport(tuple(
+        rule.name for layer in delta for rule in layer.rules
+        if rule_head(rule) not in new_ops))
 
 
 def label_usage(tss: Tss) -> tuple[frozenset[str], frozenset[str]]:
@@ -77,7 +85,9 @@ def label_usage(tss: Tss) -> tuple[frozenset[str], frozenset[str]]:
 
 
 def adds_labels(base: Tss, ext: Tss) -> bool:
-    return bool(set(ext.labels) - set(base.all_labels))
+    """Whether a delta layer declares a label the base does not."""
+    old = set(base.all_labels)
+    return any(set(layer.labels) - old for layer in _delta_layers(base, ext))
 
 
 @dataclass(frozen=True)
@@ -249,7 +259,9 @@ def robust_extension_criteria(base: Tss, ext: Tss,
     base_prem = set()
     for layer in base.layers():
         base_prem |= label_usage(layer)[0]
-    _, ext_concl = label_usage(ext)
+    ext_concl = set()
+    for layer in _delta_layers(base, ext):
+        ext_concl |= label_usage(layer)[1]
     overlap = tuple(sorted(ext_concl & base_prem))
     return ExtensionCriteria(
         extrep.disjoint, extrep.offending, fmt.ok, improper, overlap

@@ -676,9 +676,8 @@ class _FhGame(_Game):
         }
 
 
-def fh_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds(),
-             proper: bool = False) -> Verdict:
-    return _FhGame(tss, bounds.pair_cap, proper).run(s, t)
+def fh_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
+    return _FhGame(tss, bounds.pair_cap, False).run(s, t)
 
 
 class _HpGame(_Game):
@@ -725,17 +724,16 @@ class _HpGame(_Game):
         }
 
 
-def hp_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds(),
-             proper: bool = False) -> Verdict:
-    return _HpGame(tss, bounds.pair_cap, proper).run(s, t)
+def hp_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
+    return _HpGame(tss, bounds.pair_cap, False).run(s, t)
 
 
 def pfh_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
-    return fh_bisim(s, t, tss, bounds, proper=True)
+    return _FhGame(tss, bounds.pair_cap, True).run(s, t)
 
 
 def php_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
-    return hp_bisim(s, t, tss, bounds, proper=True)
+    return _HpGame(tss, bounds.pair_cap, True).run(s, t)
 
 
 NOTIONS = ("strong", "ci", "fh", "hp", "pfh", "php")

@@ -53,65 +53,42 @@ class Ruloid:
         )
 
 
-def _canonicalize(source: Term, label: str, target: Term,
-                  hyps: list[tuple[Hyp, int]]) -> Ruloid:
-    """Rename hypothesis targets to h0, h1, ... in canonical order.
-
-    Order: source variable's first occurrence in the conclusion source,
-    then label name, then discovery order (stable tiebreak).
-    """
-    occ = {name: i for i, name in enumerate(var_order(source))}
-    ordered = sorted(hyps, key=lambda hs: (occ.get(hs[0].source, 1 << 30),
-                                           hs[0].label, hs[1]))
-    avoid = vars_of(source)
-    names = canonical_names(len(ordered), avoid, prefix="h")
-    ren = {hs[0].target: fresh for hs, fresh in zip(ordered, names)}
-    new_hyps = frozenset(
-        Hyp(h.source, h.label, ren[h.target]) for h, _ in ordered
-    )
-    new_target = apply_subst({old: Var(new) for old, new in ren.items()}, target)
-    return Ruloid(new_hyps, source, label, new_target)
-
-
 def _synthesize(t: Term, tss: Tss) -> tuple[Ruloid, ...]:
     if isinstance(t, Var):
         (h,) = canonical_names(1, frozenset([t.name]), prefix="h")
         return tuple(Ruloid(frozenset([Hyp(t.name, label, h)]), t, label,
                             Var(h)) for label in tss.all_labels)
 
-    counter = itertools.count()
-
-    def fresh() -> str:
-        return "?%d" % next(counter)
-
     sub_ruloids = [ruloids(a, tss) for a in t.args]
+    occ = {name: i for i, name in enumerate(var_order(t))}
+    avoid = vars_of(t)
     results: list[Ruloid] = []
     for shape in tss.defining_shapes(t.op):
-        base_binding: dict[str, Term] = {
-            x: arg for x, arg in zip(shape.source_vars, t.args)
-        }
         # per premise: the candidate sub-ruloids of the bound argument term
-        choice_lists = []
-        for (idx, plabel, ptarget) in shape.premises:
-            candidates = [r for r in sub_ruloids[idx] if r.label == plabel]
-            choice_lists.append((ptarget, candidates))
-        for combo in itertools.product(*(cs for _, cs in choice_lists)):
-            binding = dict(base_binding)
-            hyps: list[tuple[Hyp, int]] = []
-            seq = 0
-            for (ptarget, _), chosen in zip(choice_lists, combo):
-                # freshen the chosen sub-ruloid's hypothesis targets so that
-                # hypotheses from different premises stay pairwise distinct
-                ren = {h.target: fresh() for h in chosen.hyps_sorted()}
-                for h in chosen.hyps_sorted():
-                    hyps.append((Hyp(h.source, h.label, ren[h.target]), seq))
-                    seq += 1
-                sub_target = apply_subst(
-                    {old: Var(new) for old, new in ren.items()}, chosen.target
-                )
-                binding[ptarget] = sub_target
-            target = apply_subst(binding, shape.target)
-            results.append(_canonicalize(t, shape.label, target, hyps))
+        choice_lists = [[r for r in sub_ruloids[idx] if r.label == plabel]
+                        for (idx, plabel, _) in shape.premises]
+        for combo in itertools.product(*choice_lists):
+            # each hypothesis of each chosen sub-ruloid is named once, h0,
+            # h1, ... avoiding t's variables, in the order of its source
+            # variable's first occurrence in t, then its label, then premise
+            # order and its place in the sub-ruloid's `hyps_sorted`; a
+            # sub-ruloid chosen twice gets distinct names each time
+            found = sorted(((occ[h.source], h.label, i, j, h)
+                            for i, chosen in enumerate(combo)
+                            for j, h in enumerate(chosen.hyps_sorted())),
+                           key=lambda f: f[:4])
+            names = canonical_names(len(found), avoid, prefix="h")
+            hyps = []
+            ren: list[dict[str, Term]] = [{} for _ in combo]
+            for (_, _, i, _, h), name in zip(found, names):
+                hyps.append(Hyp(h.source, h.label, name))
+                ren[i][h.target] = Var(name)
+            binding: dict[str, Term] = dict(zip(shape.source_vars, t.args))
+            for (_, _, ptarget), chosen, sigma in zip(shape.premises, combo,
+                                                      ren):
+                binding[ptarget] = apply_subst(sigma, chosen.target)
+            results.append(Ruloid(frozenset(hyps), t, shape.label,
+                                  apply_subst(binding, shape.target)))
     # deterministic order, duplicates removed; targets beyond the state size
     # cap are never printed (their relative order is irrelevant: every
     # consumer prunes them)

@@ -29,6 +29,8 @@ from opensos import (
     validate_positive_gsos,
 )
 
+from opensos.cli import main
+
 from conftest import CORPUS, ROOT
 
 
@@ -180,6 +182,42 @@ def test_adds_labels(corpus_tsss):
     assert adds_labels(corpus_tsss["F"], corpus_tsss["FB"])
     assert not adds_labels(corpus_tsss["Choice0"], corpus_tsss["ChoiceA"])
     assert not adds_labels(corpus_tsss["Res"], corpus_tsss["Par"])
+
+
+# E extends B through M; the M slot holds more of M's rules
+LAYERED = """
+tss B { labels: a; op c0/0; op g/1; rule "c0a": |- c0 -a-> c0;
+        rule "ga": x -a-> y |- g(x) -a-> g(y); }
+tss M extends B { labels: b; op d/0; %s }
+tss E extends M { labels: ; op e/0; rule "ea": |- e -a-> e; }
+"""
+
+
+def test_an_intermediate_layer_belongs_to_the_extension(tmp_path, capsys):
+    text = LAYERED % 'rule "db": |- d -b-> d; rule "gm": |- g(x) -a-> c0;'
+    doc = parse(text)
+    b, m, e = doc.tss("B"), doc.tss("M"), doc.tss("E")
+    # M's label b and its rule for the base operator g count for E as well
+    assert adds_labels(b, e) and not adds_labels(m, e)
+    for ext in (m, e):
+        assert validate_disjoint_extension(b, ext).offending == ("gm",)
+        assert robust_extension_criteria(b, ext, ()).offending_rules == (
+            "gm",)
+    assert validate_disjoint_extension(m, e).disjoint
+    spec = tmp_path / "layered.sos"
+    spec.write_text(text)
+    code = main(["extension-check", str(spec), "--base", "B", "--ext", "E"])
+    assert (code, capsys.readouterr().out) == (
+        1, "not-disjoint\nrule 'gm' defines a base operator\n")
+
+
+def test_an_intermediate_layer_concluding_a_base_premise_label_is_seen():
+    # only M concludes a, the label of B's premise in "ga"
+    doc = parse(LAYERED.replace('rule "ea": |- e -a-> e;', "")
+                % 'rule "da": |- d -a-> d;')
+    b, m, e = doc.tss("B"), doc.tss("M"), doc.tss("E")
+    assert robust_extension_criteria(b, e, ()).label_overlap == ("a",)
+    assert robust_extension_criteria(m, e, ()).label_overlap == ()
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,27 @@ eq "forward": f(x) = x @ F;
     assert not axiom.recheck_on_extension.fails
 
 
+def test_advisor_sees_a_label_an_intermediate_layer_adds():
+    # E adds no label of its own, but extends B through M, which adds b
+    doc = parse("""
+tss B { labels: a; op c0/0; op g/1; rule "c0a": |- c0 -a-> c0;
+        rule "ga": x -a-> y |- g(x) -a-> g(y); }
+tss M extends B { labels: b; op d/0; rule "db": |- d -b-> d; }
+tss E extends M { labels: ; op e/0; rule "ea": |- e -a-> e; }
+eq "gid": g(x) = x @ B;
+""")
+    theory = _theory(doc, "B", "gid")
+    report = preservation_advisor(theory, doc.tss("B"), doc.tss("E"), "fh",
+                                  SMALL)
+    (axiom,) = report.axioms
+    assert axiom.soundness_on_base.holds
+    assert axiom.theorems["no-new-labels"] == {
+        "applies": False, "adds_labels": True, "certificate_on_base": "holds"}
+    assert axiom.recheck_on_extension.fails
+    assert axiom.classification == BROKEN and axiom.theorem is None
+    assert not axiom.contradiction
+
+
 # ex1's choice and a new operator g that feeds the base premise label a
 FEED = """
 tss Ccs {

@@ -17,10 +17,12 @@ from opensos import (
     parse,
     parse_term,
     ruloids,
+    term_size,
     transitions,
     vars_of,
 )
-from opensos.ruloids import Hyp
+from opensos.ruloids import STATE_SIZE_CAP, Hyp, Ruloid
+from opensos.terms import canonical_names, var_order
 
 from gen import random_extension, random_tss
 
@@ -151,6 +153,16 @@ def test_instantiate_ruloid_unsatisfiable_hypothesis(corpus_tsss):
     (r2,) = [r for r in ruloids(parse_term("plus(x, y)", ccs), ccs)
              if Hyp("x", "a", "h0") in r.hyps]
     assert instantiate_ruloid(r2, {"x": App("zero"), "y": App("zero")}, ccs) is None
+
+
+def test_instantiations_need_a_substitution_closing_the_source(corpus_tsss):
+    ccs = corpus_tsss["Ccs"]
+    (r,) = ruloids(parse_term("pre_a(plus(x, y))", ccs), ccs)
+    assert r.hyps == frozenset()  # so only the source is there to close
+    with pytest.raises(ValueError) as exc:
+        instantiations(r, {"x": App("zero")}, ccs)
+    assert str(exc.value) == (
+        "substitution is not closing for pre_a(plus(x, y))")
 
 
 def test_hypothesis_free_ruloids_coincide_with_transitions(corpus_tsss):
@@ -287,3 +299,138 @@ def test_transitions_on_random_draws():
                 assert derived == _by_substitution(p, tss, cache), str(p)
                 moves += len(derived)
     assert moves > 1_000
+
+
+def _two_pass(t, tss, cache):
+    """`ruloids` synthesised in two naming passes: each premise's chosen
+    sub-ruloid first gets fresh ?N hypothesis targets, and the built ruloid
+    is then renamed to h0, h1, ... by a second sort and substitution.  Kept
+    as the reference for `ruloids`, which names each target once."""
+    if t in cache:
+        return cache[t]
+    if isinstance(t, Var):
+        (h,) = canonical_names(1, frozenset([t.name]), prefix="h")
+        cache[t] = tuple(Ruloid(frozenset([Hyp(t.name, label, h)]), t, label,
+                                Var(h)) for label in tss.all_labels)
+        return cache[t]
+    counter = itertools.count()
+    sub_ruloids = [_two_pass(a, tss, cache) for a in t.args]
+    results = []
+    for shape in tss.defining_shapes(t.op):
+        base_binding = dict(zip(shape.source_vars, t.args))
+        choice_lists = []
+        for (idx, plabel, ptarget) in shape.premises:
+            candidates = [r for r in sub_ruloids[idx] if r.label == plabel]
+            choice_lists.append((ptarget, candidates))
+        for combo in itertools.product(*(cs for _, cs in choice_lists)):
+            binding = dict(base_binding)
+            hyps = []
+            for (ptarget, _), chosen in zip(choice_lists, combo):
+                ren = {h.target: "?%d" % next(counter)
+                       for h in chosen.hyps_sorted()}
+                for h in chosen.hyps_sorted():
+                    hyps.append((Hyp(h.source, h.label, ren[h.target]),
+                                 len(hyps)))
+                binding[ptarget] = apply_subst(
+                    {old: Var(new) for old, new in ren.items()}, chosen.target)
+            target = apply_subst(binding, shape.target)
+            # the second pass: sort again, rename the built target again
+            occ = {name: i for i, name in enumerate(var_order(t))}
+            ordered = sorted(hyps, key=lambda hs: (
+                occ.get(hs[0].source, 1 << 30), hs[0].label, hs[1]))
+            names = canonical_names(len(ordered), vars_of(t), prefix="h")
+            ren = {hs[0].target: new for hs, new in zip(ordered, names)}
+            results.append(Ruloid(
+                frozenset(Hyp(h.source, h.label, ren[h.target])
+                          for h, _ in ordered),
+                t, shape.label,
+                apply_subst({old: Var(new) for old, new in ren.items()},
+                            target)))
+
+    def ruloid_key(r):
+        s = term_size(r.target)
+        return (r.label, s, str(r.target) if s <= STATE_SIZE_CAP else "",
+                tuple(str(h) for h in r.hyps_sorted()))
+
+    cache[t] = tuple(sorted(dict.fromkeys(results), key=ruloid_key))
+    return cache[t]
+
+
+def _same_as_two_pass(t, tss, cache):
+    """Assert `ruloids` equals the reference in objects, order and print;
+    return how many ruloids it has."""
+    got, want = ruloids(t, tss), _two_pass(t, tss, cache)
+    assert got == want, str(t)
+    assert [str(r) for r in got] == [str(r) for r in want], str(t)
+    return len(got)
+
+
+def test_ruloids_name_what_two_passes_name_on_the_corpus(corpus_tsss):
+    found = 0
+    for tss in corpus_tsss.values():
+        cache = {}
+        for t in enumerate_open_terms(tss.all_signature, 3, ("x", "y")):
+            found += _same_as_two_pass(t, tss, cache)
+    assert found > 1_000
+
+
+def test_ruloids_name_what_two_passes_name_on_random_draws():
+    rng = random.Random(19)
+    found = 0
+    for _ in range(200):
+        base = random_tss(rng)
+        for tss in (base, random_extension(rng, base, rng.random() < 0.5)):
+            cache = {}
+            for t in enumerate_open_terms(tss.all_signature, 2, ("x", "y")):
+                found += _same_as_two_pass(t, tss, cache)
+    assert found > 1_000
+
+
+def test_a_sub_ruloid_chosen_twice_gets_distinct_names():
+    t = parse('tss T { labels: a, b; op c/0; op g/1; op f/1; op p/2; '
+              'rule "c": |- c -a-> c; '
+              'rule "ga": x -a-> y |- g(x) -a-> g(y); '
+              'rule "gb": x -b-> y |- g(x) -a-> y; '
+              'rule "twice": x -a-> y1, x -a-> y2 |- f(x) -a-> p(y1, y2); '
+              '}').tss("T")
+    cache = {}
+    for text in ("f(x)", "f(g(x))", "f(p(x, g(x)))", "p(f(x), f(y))",
+                 "f(f(x))"):
+        _same_as_two_pass(parse_term(text, t), t, cache)
+    assert [str(r) for r in ruloids(parse_term("f(g(x))", t), t)] == [
+        "x -b-> h0, x -b-> h1 |- f(g(x)) -a-> p(h0, h1)",
+        "x -a-> h0, x -b-> h1 |- f(g(x)) -a-> p(g(h0), h1)",
+        "x -a-> h0, x -b-> h1 |- f(g(x)) -a-> p(h1, g(h0))",
+        "x -a-> h0, x -a-> h1 |- f(g(x)) -a-> p(g(h0), g(h1))"]
+
+
+def test_eleven_hypotheses_keep_the_printed_order_of_their_names():
+    ys = ["y%d" % i for i in range(11)]
+    t = parse('tss T { labels: a; op w/1; op k/1; op v/11; '
+              'rule "w": %s |- w(x) -a-> v(%s); '
+              'rule "k": x -a-> y |- k(x) -a-> y; }'
+              % (", ".join("x -a-> %s" % y for y in ys), ", ".join(ys))
+              ).tss("T")
+    (r,) = ruloids(parse_term("w(x)", t), t)
+    # h10 prints, and sorts, before h2
+    assert str(r) == ("x -a-> h0, x -a-> h1, x -a-> h10, x -a-> h2, "
+                      "x -a-> h3, x -a-> h4, x -a-> h5, x -a-> h6, "
+                      "x -a-> h7, x -a-> h8, x -a-> h9 |- w(x) -a-> "
+                      "v(h0, h1, h2, h3, h4, h5, h6, h7, h8, h9, h10)")
+    cache = {}
+    for text in ("w(x)", "k(w(x))", "w(k(x))"):
+        _same_as_two_pass(parse_term(text, t), t, cache)
+    # through k, the eleven are renamed in that printed order
+    (r,) = ruloids(parse_term("k(w(x))", t), t)
+    assert str(r.target) == "v(h0, h1, h3, h4, h5, h6, h7, h8, h9, h10, h2)"
+
+
+def test_an_argument_variable_named_like_a_hypothesis_target(corpus_tsss):
+    ccs = corpus_tsss["Ccs"]
+    cache = {}
+    for text in ("plus(h0, x)", "plus(pre_a(h1), h0)", "pre_a(h0)"):
+        _same_as_two_pass(parse_term(text, ccs), ccs, cache)
+    assert _rstrs(ruloids(parse_term("plus(h0, x)", ccs), ccs)) == [
+        "h0 -a-> h1 |- plus(h0, x) -a-> h1",
+        "x -a-> h1 |- plus(h0, x) -a-> h1",
+    ]

@@ -43,10 +43,22 @@ def test_signature_rejects_conflicting_arities():
         SIG.merge(Signature.of({"plus": 3}))
 
 
+def test_signature_rejects_a_negative_arity():
+    with pytest.raises(SignatureError) as exc:
+        Signature((("zero", 0), ("f", -1)))
+    assert str(exc.value) == "negative arity for 'f'"
+
+
 def test_check_term_flags_bad_arity():
     check_term(App("plus", (Var("x"), App("zero"))), SIG)
     with pytest.raises(SignatureError):
         check_term(App("plus", (Var("x"),)), SIG)
+
+
+def test_check_term_flags_a_variable_named_like_an_operator():
+    with pytest.raises(SignatureError) as exc:
+        check_term(App("pre_a", (Var("zero"),)), SIG)
+    assert str(exc.value) == "variable 'zero' collides with an operator"
 
 
 def test_term_size_counts_operator_nodes():
@@ -91,6 +103,12 @@ def test_enumeration_exhaustive_small_signatures():
     two = list(enumerate_closed_terms(Signature.of({"zero": 0, "prefix_a": 1}), 2))
     assert two == [App("zero"), App("prefix_a", (App("zero"),))]
     assert list(enumerate_closed_terms(Signature.of({"f": 1}), 4)) == []
+
+
+def test_enumeration_needs_a_positive_size():
+    with pytest.raises(ValueError) as exc:
+        list(enumerate_closed_terms(SIG, 0))
+    assert str(exc.value) == "max_size must be positive"
 
 
 def test_enumeration_no_duplicates_and_well_formed():
