@@ -186,16 +186,21 @@ def _refine(succ, rounds: int, p: int, q: int) -> list[list[int]]:
     return levels
 
 
-def _distinguish(p: int, q: int, levels, out, names) -> dict:
+def _distinguish(p: int, q: int, levels, states, succ) -> dict:
     """A witness that states p and q are not bisimilar.
 
     At the first level k that splits a pair, the attacker takes the first
-    edge in `out` order (label, then printed target) whose class at level
-    k - 1 no same-label answer reaches, and every answer is split again
-    below k.  Classes are only compared for equality, so the witness does
-    not depend on how blocks are numbered.  Levels only refine, so k is
-    found by bisection; the tree is built from a stack, not by recursion.
+    edge in (label, printed target) order whose class at level k - 1 no
+    same-label answer reaches, and every answer, in printed order, is split
+    again below k.  Only the states the witness visits have their edges
+    ordered, so only their successors are printed.  Classes are only
+    compared for equality, so the witness does not depend on how blocks
+    are numbered.  Levels only refine, so k is found by bisection; the tree
+    is built from a stack, not by recursion.
     """
+    def printed(e):
+        return (e[0], str(states[e[1]]))
+
     root: dict = {}
     todo = [(root, p, q, len(levels) - 1)]  # a pair and a level splitting it
     while todo:
@@ -204,19 +209,22 @@ def _distinguish(p: int, q: int, levels, out, names) -> dict:
                         key=lambda i: levels[i][p] != levels[i][q])
         prev = levels[k - 1]
         for side, a, b in (("left", p, q), ("right", q, p)):
-            answers = {(l, prev[s]) for (l, s) in out[b]}
-            move = next(((l, s) for (l, s) in out[a]
-                         if (l, prev[s]) not in answers), None)
+            answers = {(l, prev[s]) for (l, s) in succ[b]}
+            move = min(((l, s) for (l, s) in succ[a]
+                        if (l, prev[s]) not in answers), key=printed,
+                       default=None)
             if move:
                 break
         else:
             raise AssertionError("states separated without a distinguishing move")
         l, a2 = move
-        ends = [b2 for (l2, b2) in out[b] if l2 == l]
-        responses = [{"to": names[b2], "then": {}} for b2 in ends]
-        todo.extend((r["then"], a2, b2, k - 1) for r, b2 in zip(responses, ends))
-        node.update({"side": side, "label": l, "move": names[a2],
-                     "from": names[a], "responses": responses})
+        ends = sorted(((l2, b2) for (l2, b2) in succ[b] if l2 == l),
+                      key=printed)
+        responses = [{"to": str(states[b2]), "then": {}} for (_, b2) in ends]
+        todo.extend((r["then"], a2, b2, k - 1)
+                    for r, (_, b2) in zip(responses, ends))
+        node.update({"side": side, "label": l, "move": str(states[a2]),
+                     "from": str(states[a]), "responses": responses})
     return root
 
 
@@ -274,12 +282,10 @@ def _strong(p: Term, q: Term, tss: Tss, bounds: Bounds) -> Verdict:
             classes.setdefault(b, []).append(str(s))
         cert = {"partition": sorted(sorted(c) for c in classes.values())}
         return Verdict(HOLDS, "partition refinement", certificate=cert)
-    names = [str(s) for s in states]
-    out = [sorted(edges, key=lambda e: (e[0], names[e[1]])) for edges in succ]
     reason = ("distinguished within depth bound" if cap
               else "distinguished by partition refinement")
     return Verdict(FAILS, reason,
-                   witness=_distinguish(0, qi, levels, out, names))
+                   witness=_distinguish(0, qi, levels, states, succ))
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +445,10 @@ def _merge_maps(r: Ruloid, gamma: frozenset[Hyp]):
         yield {k: resolve(k) for k in mapping}
 
 
-def _embeddings(cand: Ruloid, gamma):
-    """Injective maps of cand's hypotheses onto same-shaped gamma hypotheses."""
-    groups = _group_hyps(gamma)
+def _embeddings(cand: Ruloid, groups):
+    """Injective maps of cand's hypotheses onto same-shaped hypotheses of
+    gamma, given as `_group_hyps(gamma)`: the callers group one gamma once
+    for all its responses."""
     cand_groups = _group_hyps(cand.hyps)
     keys = sorted(cand_groups)
     per_group = []
@@ -639,10 +646,11 @@ class _FhGame(_Game):
     relation must also contain every variable-merging variant of a pair."""
 
     def answers(self, gamma, a, b, r, responses) -> list:
+        groups = _group_hyps(r.hyps)
         options = {
             self.option(r.target, _rename(emb, r2.target), EMPTY)
             for r2 in responses if len(r2.hyps) == len(r.hyps)
-            for emb in _embeddings(r2, r.hyps)
+            for emb in _embeddings(r2, groups)
         }
         return [((a, b, r), tuple(sorted(options, key=self.key)))]
 
@@ -691,10 +699,11 @@ class _HpGame(_Game):
                 Hyp(h.source, h.label, mu[h.target]) for h in r.hyps
             )
             gamma2 = merged | gamma
+            groups = _group_hyps(gamma2)
             a2 = _rename(mu, r.target)
             options = set()
             for r2 in responses:
-                for emb in _embeddings(r2, gamma2):
+                for emb in _embeddings(r2, groups):
                     b2 = _rename(emb, r2.target)
                     options.add(self.option(a2, b2, _gc(a2, b2, gamma2)))
             obligations.append(((a, b, r, merged),

@@ -130,25 +130,31 @@ def _transitions(p: App, tss: Tss, cache: dict
                  ) -> tuple[tuple[str, Term], ...]:
     """`transitions` of the closed term p, kept in `cache`.  A rule with a
     premise that has no move derives nothing, so its later premises are not
-    asked."""
+    asked.  Each argument's moves are grouped by label once, when a premise
+    first reads them, and the groups are dropped with the derivation."""
     moves = cache.get(p)
     if moves is not None:
         return moves
     args = p.args
+    by_label: dict[Term, dict[str, list[Term]]] = {}
     result: dict[tuple[str, Term], None] = {}
     for shape in tss.defining_shapes(p.op):
         choices = []
         for (idx, plabel, _) in shape.premises:
-            succ = [q for (l, q) in _transitions(args[idx], tss, cache)
-                    if l == plabel]
+            groups = by_label.get(args[idx])
+            if groups is None:
+                groups = by_label[args[idx]] = {}
+                for (l, q) in _transitions(args[idx], tss, cache):
+                    groups.setdefault(l, []).append(q)
+            succ = groups.get(plabel)
             if not succ:
                 break
             choices.append(succ)
         else:
             env = dict(zip(shape.source_vars, args))
-            targets = [y for (_, _, y) in shape.premises]
             for chosen in itertools.product(*choices):
-                env.update(zip(targets, chosen))
+                for (_, _, y), q in zip(shape.premises, chosen):
+                    env[y] = q
                 result.setdefault((shape.label, apply_subst(env, shape.target)))
     moves = cache[p] = tuple(result)
     return moves

@@ -31,6 +31,13 @@ class App:
     Nodes are immutable.  Facts derived from the structure are computed
     once per node, from the children's: size, depth, closedness and the
     variables in first-occurrence order.
+
+    Printed text is cached on the node printed and on its operator
+    arguments, and no deeper: states printed one after another share
+    their arguments, so the next state prints from its arguments' text,
+    while the arguments' texts together are shorter than the node's, so
+    the cache holds at most twice the text of the nodes printed.  Text on
+    every subterm would grow with the square of a term's depth.
     """
 
     __slots__ = ("op", "args", "size", "depth", "closed", "vorder",
@@ -71,32 +78,40 @@ class App:
         return "App(op=%r, args=%r)" % (self.op, self.args)
 
     def __str__(self) -> str:
-        # iterative (derivative terms can nest far beyond the stack limit)
-        # and cached, since sort keys print the same terms over and over
-        if self._str is not None:
-            return self._str
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, str):
-                out.append(t)
-            elif isinstance(t, Var):
-                out.append(t.name)
-            elif t._str is not None:
-                out.append(t._str)
-            elif not t.args:
-                out.append(t.op)
-            else:
-                out.append(t.op + "(")
-                stack.append(")")
-                for i, a in enumerate(reversed(t.args)):
-                    stack.append(a)
-                    if i != len(t.args) - 1:
-                        stack.append(", ")
-        text = "".join(out)
-        object.__setattr__(self, "_str", text)
-        return text
+        if self._str is None:
+            for a in self.args:
+                if isinstance(a, App) and a._str is None:
+                    object.__setattr__(a, "_str", _print(a))
+            text = self.op
+            if self.args:
+                text += "(" + ", ".join(map(str, self.args)) + ")"
+            object.__setattr__(self, "_str", text)
+        return self._str
+
+
+def _print(t: App) -> str:
+    """The text of t, reusing any cached text and caching none: iterative,
+    since derivative terms can nest far beyond the stack limit."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Var):
+            out.append(t.name)
+        elif t._str is not None:
+            out.append(t._str)
+        elif not t.args:
+            out.append(t.op)
+        else:
+            out.append(t.op + "(")
+            stack.append(")")
+            for i, a in enumerate(reversed(t.args)):
+                stack.append(a)
+                if i != len(t.args) - 1:
+                    stack.append(", ")
+    return "".join(out)
 
 
 # (op, args) -> the live node; weak, so it drains as terms die
@@ -116,10 +131,14 @@ def _init_node(node: App, key: tuple) -> None:
         else:
             order[a.name] = None
     vorder = tuple(order)
-    for name, value in (("op", op), ("args", args), ("size", size),
-                        ("depth", depth + 1), ("closed", not vorder),
-                        ("vorder", vorder), ("_str", None)):
-        object.__setattr__(node, name, value)
+    put = object.__setattr__
+    put(node, "op", op)
+    put(node, "args", args)
+    put(node, "size", size)
+    put(node, "depth", depth + 1)
+    put(node, "closed", not vorder)
+    put(node, "vorder", vorder)
+    put(node, "_str", None)
 
 
 Term = Var | App

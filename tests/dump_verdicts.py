@@ -12,8 +12,10 @@ older commit can be stopped before them.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/dump_verdicts.py > verdicts.jsonl
 
-then `diff` the files written at two commits.  When it ends it prints the
-seconds spent answering each notion's questions to stderr.  With
+then `diff` the files written at two commits.  When it ends it prints one
+line to stderr: the seconds spent answering each notion's questions and the
+process's peak resident set size (`resource.getrusage`, in MB).  Standard
+output holds the rows alone, so neither figure changes it.  With
 `--pinned` it writes only the corpus and named-input rows, which
 tests/pinned_verdicts.jsonl keeps and tier-1 compares line by line:
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 import random
+import resource
 import sys
 import time
 from pathlib import Path
@@ -154,9 +157,12 @@ def main(argv: list[str]) -> int:
     for line in rows(questions, seconds):
         sys.stdout.write(line + "\n")
         sys.stdout.flush()
-    sys.stderr.write("seconds by notion: %s; total %.2f\n" % (
-        ", ".join("%s %.2f" % kv for kv in sorted(seconds.items())),
-        sum(seconds.values())))
+    # ru_maxrss is in kilobytes on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    sys.stderr.write("seconds by notion: %s; total %.2f; peak RSS %.1f MB\n"
+                     % (", ".join("%s %.2f" % kv
+                                  for kv in sorted(seconds.items())),
+                        sum(seconds.values()), peak_mb))
     return 0
 
 

@@ -39,6 +39,7 @@ from gen import (random_closed_term, random_extension, random_open_term,
                  random_tss)
 
 SMALL = Bounds(term_size=2, depth=8, state_cap=200, pair_cap=500)
+CRITERION_8 = Bounds(term_size=2, depth=8, state_cap=150, pair_cap=300)
 
 
 def test_bounds_defaults():
@@ -223,13 +224,45 @@ def _shuffled_witness(p, q, tss, bounds, rng):
     n = len(states)
     perm = list(range(n))
     rng.shuffle(perm)
-    moved, names = [()] * n, [""] * n
+    moved, placed = [()] * n, [None] * n
     for i, edges in enumerate(succ):
         moved[perm[i]] = [(l, perm[j]) for (l, j) in edges]
-        names[perm[i]] = str(states[i])
-    out = [sorted(edges, key=lambda e: (e[0], names[e[1]])) for edges in moved]
+        placed[perm[i]] = states[i]
     levels = bisim._refine(moved, n, perm[0], perm[qi])
-    return bisim._distinguish(perm[0], perm[qi], levels, out, names)
+    return bisim._distinguish(perm[0], perm[qi], levels, placed, moved)
+
+
+def _eager_witness(p, q, tss, bounds):
+    """Strong's witness for p and q with every state named and every edge
+    list sorted before the tree is built, and the splitting level found by
+    a linear scan.  Kept as the reference for `_distinguish`, which prints
+    only the states it visits."""
+    lp, lq = explore(p, tss, bounds.state_cap), explore(q, tss, bounds.state_cap)
+    states, succ, qi = bisim._join(lp, lq)
+    cuts = [lts.horizon for lts in (lp, lq) if lts.cap]
+    levels = bisim._refine(succ, min(bounds.depth, *cuts) if cuts
+                           else len(states), 0, qi)
+    names = [str(s) for s in states]
+    out = [sorted(edges, key=lambda e: (e[0], names[e[1]])) for edges in succ]
+    root = {}
+    todo = [(root, 0, qi, len(levels) - 1)]
+    while todo:
+        node, p, q, k = todo.pop()
+        k = next(i for i in range(1, k + 1) if levels[i][p] != levels[i][q])
+        prev = levels[k - 1]
+        for side, a, b in (("left", p, q), ("right", q, p)):
+            answers = {(l, prev[s]) for (l, s) in out[b]}
+            move = next(((l, s) for (l, s) in out[a]
+                         if (l, prev[s]) not in answers), None)
+            if move:
+                break
+        l, a2 = move
+        ends = [b2 for (l2, b2) in out[b] if l2 == l]
+        responses = [{"to": names[b2], "then": {}} for b2 in ends]
+        todo.extend((r["then"], a2, b2, k - 1) for r, b2 in zip(responses, ends))
+        node.update({"side": side, "label": l, "move": names[a2],
+                     "from": names[a], "responses": responses})
+    return root
 
 
 def test_strong_witnesses_do_not_depend_on_state_numbers():
@@ -320,13 +353,14 @@ CHAINS = ('tss Chains { labels: a, b, c; op nil/0; op pa/1; '
           '}')
 
 
+# one a-step short on the left: told apart only at the third level
+PAR_PAIR = ("par(pa(pa(nil)), par(pb(pb(pb(nil))), pc(pc(pc(nil)))))",
+            "par(par(pa(pa(pa(nil))), pb(pb(pb(nil)))), pc(pc(pc(nil))))")
+
+
 def test_strong_witness_on_par_chains_is_pinned():
     chains = parse(CHAINS).tss("Chains")
-    # one a-step short on the left: told apart only at the third level
-    p = parse_term("par(pa(pa(nil)), par(pb(pb(pb(nil))), pc(pc(pc(nil)))))",
-                   chains)
-    q = parse_term("par(par(pa(pa(pa(nil))), pb(pb(pb(nil)))), pc(pc(pc(nil))))",
-                   chains)
+    p, q = (parse_term(side, chains) for side in PAR_PAIR)
     v = strong_bisim(p, q, chains)
     assert v.reason == "distinguished by partition refinement"
     assert v.witness == PAR_WITNESS
@@ -367,13 +401,16 @@ def _cycles(*lengths):
     return "tss T { labels: a, b; op s/2; %s %s }" % (ops, rules)
 
 
+# b is enabled only when every component is at its start, which the two
+# sides first disagree on after 1 155 a-steps
+CYCLES_PAIR = ("s(s(s(c3_0, c5_0), c7_0), c11_0)",
+               "s(s(s(c3_0, c5_0), c7_0), c13_0)")
+
+
 def test_a_split_after_a_thousand_rounds_has_a_witness(tmp_path, capsys):
     spec = _cycles(3, 5, 7, 11, 13)
     t = parse(spec).tss("T")
-    # b is enabled only when every component is at its start, which the
-    # two sides first disagree on after 1 155 a-steps
-    lhs, rhs = ("s(s(s(c3_0, c5_0), c7_0), c11_0)",
-                "s(s(s(c3_0, c5_0), c7_0), c13_0)")
+    lhs, rhs = CYCLES_PAIR
     p, q = parse_term(lhs, t), parse_term(rhs, t)
     v = strong_bisim(p, q, t)
     assert v.reason == "distinguished by partition refinement"
@@ -389,6 +426,41 @@ def test_a_split_after_a_thousand_rounds_has_a_witness(tmp_path, capsys):
     out = capsys.readouterr()
     assert (out.out, out.err) == (
         "fails: distinguished by partition refinement\n", "")
+
+
+def _nodes(w):
+    """A witness tree's nodes in depth-first order, without recursion: a
+    witness can be deeper than `==` on nested dicts can compare."""
+    nodes, todo = [], [w]
+    while todo:
+        w = todo.pop()
+        nodes.append((w["side"], w["label"], w["from"], w["move"],
+                      [r["to"] for r in w["responses"]]))
+        todo.extend(r["then"] for r in reversed(w["responses"]))
+    return nodes
+
+
+def test_strong_witnesses_match_eager_naming():
+    # the pinned par pair, the 1 155-step split and every closed fails of
+    # 300 draws at criterion 8's bounds
+    chains = parse(CHAINS).tss("Chains")
+    cycles = parse(_cycles(3, 5, 7, 11, 13)).tss("T")
+    cases = [(t, parse_term(lhs, t), parse_term(rhs, t), Bounds())
+             for t, (lhs, rhs) in ((chains, PAR_PAIR), (cycles, CYCLES_PAIR))]
+    rng = random.Random(101)
+    for _ in range(300):
+        tss = random_tss(rng)
+        p = random_closed_term(rng, tss, 3)
+        q = random_closed_term(rng, tss, 3)
+        cases.append((tss, p, q, CRITERION_8))
+    fails = 0
+    for tss, p, q, bounds in cases:
+        v = strong_bisim(p, q, tss, bounds)
+        if v.fails:
+            fails += 1
+            want = _eager_witness(p, q, tss, bounds)
+            assert _nodes(v.witness) == _nodes(want), (str(p), str(q))
+    assert fails > 40
 
 
 def test_the_verdict_dump_runs():

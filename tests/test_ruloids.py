@@ -251,7 +251,7 @@ def _by_substitution(p, tss, cache):
 
 
 TARGETS = ('tss T { labels: a, b, c, z; op k/0; op m/0; op g/1; op h/2; '
-           'op f/2; '
+           'op f/2; op d/1; '
            'rule "k": |- k -a-> m; rule "m1": |- m -b-> k; '
            'rule "m2": |- m -b-> g(k); rule "g": x -b-> x2 |- g(x) -a-> x2; '
            'rule "source": |- f(x, y) -a-> x; '
@@ -262,7 +262,9 @@ TARGETS = ('tss T { labels: a, b, c, z; op k/0; op m/0; op g/1; op h/2; '
            'f(x, y) -c-> h(g(h(x2, y)), h(y2, g(h(x2, y)))); '
            'rule "constant": |- f(x, y) -b-> k; '
            'rule "no-move": y -z-> y2 |- f(x, y) -a-> y2; '
-           'rule "h": x -a-> x2 |- h(x, y) -a-> h(y, x2); }')
+           'rule "h": x -a-> x2 |- h(x, y) -a-> h(y, x2); '
+           'rule "same": x -b-> x2, x -b-> x3 |- d(x) -c-> h(x2, x3); '
+           'rule "mixed": x -a-> x2, x -b-> x3 |- d(x) -b-> h(x3, x2); }')
 
 
 def test_transitions_build_what_substitution_builds():
@@ -285,6 +287,16 @@ def test_transitions_build_what_substitution_builds():
         ("c", "h(g(h(k, m)), h(g(k), g(h(k, m))))"),
         ("c", "h(g(h(g(k), m)), h(k, g(h(g(k), m))))"),
         ("c", "h(g(h(g(k), m)), h(g(k), g(h(g(k), m))))")]
+    # two premises read one argument: under one label, every pair of its
+    # moves; under two labels, one move of each
+    p = parse_term("d(f(m, k))", t)
+    assert [(l, str(q)) for l, q in transitions(p, t)] == [
+        ("c", "h(k, k)"),
+        ("b", "h(k, m)")]
+    p = parse_term("d(m)", t)
+    assert [(l, str(q)) for l, q in transitions(p, t)] == [
+        ("c", "h(k, k)"), ("c", "h(k, g(k))"),
+        ("c", "h(g(k), k)"), ("c", "h(g(k), g(k))")]
 
 
 def test_transitions_on_random_draws():

@@ -24,7 +24,7 @@ from opensos import (
 from opensos import terms
 from opensos.terms import check_term, var_order
 
-from gen import random_term
+from gen import random_closed_term, random_open_term, random_term, random_tss
 
 SIG = Signature.of({"zero": 0, "pre_a": 1, "plus": 2})
 
@@ -185,6 +185,10 @@ def test_terms_deeper_than_the_recursion_limit():
     assert hash(t) == hash(chain())
     assert t.depth == n + 1 and term_size(t) == n + 1
     assert str(t) == "pre_a(" * n + "zero" + ")" * n
+    # text stays on the root and its argument: on every subterm of this
+    # chain it would take about 7 * n * n / 2 characters, some 31 million
+    assert t.args[0]._str is not None
+    assert t.args[0].args[0]._str is None
 
 
 def test_copies_and_pickles_are_the_interned_node():
@@ -211,3 +215,47 @@ def test_variable_order_is_first_occurrence():
     assert var_order(Var("x")) == ("x",)
     assert var_order(App("zero")) == ()
     assert vars_of(t) == frozenset("pqr")
+
+
+def _naive(t):
+    """The printed form of t by plain recursion, caching nothing."""
+    if isinstance(t, Var):
+        return t.name
+    if not t.args:
+        return t.op
+    return "%s(%s)" % (t.op, ", ".join(_naive(a) for a in t.args))
+
+
+def test_printing_matches_a_naive_printer(corpus_tsss):
+    # largest terms first, so smaller ones are read from the text their
+    # parents stored on them
+    for tss in corpus_tsss.values():
+        small = list(enumerate_open_terms(tss.all_signature, 3, ("x", "y")))
+        for t in reversed(small):
+            assert str(t) == _naive(t)
+    rng = random.Random(20)
+    for _ in range(200):
+        tss = random_tss(rng)
+        for t in (random_closed_term(rng, tss, 4),
+                  random_open_term(rng, tss, 4)):
+            assert str(t) == _naive(t)
+
+
+def _subterms(t):
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, App):
+            yield t
+            todo.extend(t.args)
+
+
+def test_printing_caches_text_on_the_node_and_its_arguments_only():
+    leaf = App("txt_k")
+    inner = App("txt_g", (App("txt_h", (leaf, Var("x"))),))
+    t = App("txt_f", (inner, Var("y"), App("txt_h", (inner, leaf))))
+    assert all(s._str is None for s in _subterms(t))
+    assert str(t) == ("txt_f(txt_g(txt_h(txt_k, x)), y, "
+                      "txt_h(txt_g(txt_h(txt_k, x)), txt_k))")
+    assert {s for s in _subterms(t) if s._str is not None} == {
+        t, inner, t.args[2]}
