@@ -181,19 +181,22 @@ def _open_argument_placement(t: Term, table: NonEvolvingTable
                              ) -> list[str]:
     """Violations of "open arguments sit at non-evolving indices"."""
     out: list[str] = []
-
-    def walk(u: Term) -> None:
-        if isinstance(u, Var):
-            return
-        for i, a in enumerate(u.args):
-            if vars_of(a) and i not in table.of(u.op):
-                out.append(
-                    "open argument %s at evolving index %d of %s" % (a, i, u.op)
-                )
-            walk(a)
-
-    walk(t)
+    _place(t, table, out)
     return out
+
+
+def _place(u: Term, table: NonEvolvingTable, out: list[str]) -> None:
+    # a function of its own, not a closure over `out`: a closure that calls
+    # itself is a reference cycle, which keeps it, `out` and the table alive
+    # until the cyclic collector runs
+    if isinstance(u, Var):
+        return
+    for i, a in enumerate(u.args):
+        if vars_of(a) and i not in table.of(u.op):
+            out.append(
+                "open argument %s at evolving index %d of %s" % (a, i, u.op)
+            )
+        _place(a, table, out)
 
 
 @dataclass(frozen=True)

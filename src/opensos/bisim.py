@@ -22,7 +22,6 @@ but never prove.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from dataclasses import dataclass
 from .terms import (
     Term,
     Var,
+    _gc_paused,
     apply_subst,
     canonical_names,
     enumerate_closed_terms,
@@ -39,7 +39,7 @@ from .terms import (
     vars_of,
 )
 from .tss import Tss
-from .ruloids import Hyp, Lts, Ruloid, explore, ruloids
+from .ruloids import Hyp, Lts, Ruloid, _group_hyps, explore, ruloids
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -228,6 +228,7 @@ def _distinguish(p: int, q: int, levels, states, succ) -> dict:
     return root
 
 
+@_gc_paused
 def strong_bisim(p: Term, q: Term, tss: Tss,
                  bounds: Bounds = Bounds()) -> Verdict:
     """Strong bisimilarity of two closed terms, by partition refinement of
@@ -292,6 +293,7 @@ def _strong(p: Term, q: Term, tss: Tss, bounds: Bounds) -> Verdict:
 # closed-instance bisimilarity
 
 
+@_gc_paused
 def ci_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
     """Closed-instance bisimilarity.
 
@@ -395,22 +397,17 @@ def _state_key_str(state) -> tuple[str, str, tuple[str, ...]]:
 
 
 def _norm_state(s: Term, t: Term, gamma: frozenset[Hyp]):
-    """The canonical form of a state, the same for (s, t) and (t, s)."""
+    """The canonical form of a state, the same for (s, t) and (t, s), and
+    its `_state_key_str`, by which the two orientations were compared."""
     a = _canon_state(s, t, gamma)
     b = _canon_state(t, s, gamma)
-    return min(a, b, key=_state_key_str)
+    ka, kb = _state_key_str(a), _state_key_str(b)
+    return (b, kb) if kb < ka else (a, ka)
 
 
 def _gc(s: Term, t: Term, gamma: frozenset[Hyp]) -> frozenset[Hyp]:
     live = vars_of(s) | vars_of(t)
     return frozenset(h for h in gamma if h.source in live or h.target in live)
-
-
-def _group_hyps(hyps) -> dict[tuple[str, str], list[Hyp]]:
-    groups: dict[tuple[str, str], list[Hyp]] = {}
-    for h in sorted(hyps, key=lambda h: (h.source, h.label, h.target)):
-        groups.setdefault((h.source, h.label), []).append(h)
-    return groups
 
 
 def _merge_maps(r: Ruloid, gamma: frozenset[Hyp]):
@@ -448,13 +445,11 @@ def _merge_maps(r: Ruloid, gamma: frozenset[Hyp]):
 def _embeddings(cand: Ruloid, groups):
     """Injective maps of cand's hypotheses onto same-shaped hypotheses of
     gamma, given as `_group_hyps(gamma)`: the callers group one gamma once
-    for all its responses."""
-    cand_groups = _group_hyps(cand.hyps)
-    keys = sorted(cand_groups)
+    for all its responses, and each response groups its own hypotheses
+    once (`Ruloid.hyp_groups`)."""
     per_group = []
-    for k in keys:
+    for k, need in cand.hyp_groups():
         pool = groups.get(k, [])
-        need = cand_groups[k]
         if len(pool) < len(need):
             return
         per_group.append([
@@ -509,20 +504,26 @@ class _Game:
         self.proper = proper
         # raw state -> its normal form, shared by every game on this TSS
         self.norms: dict = tss._memo.setdefault("normal-forms", {})
+        # option -> its sort key, also per TSS: 0 and a normal state's
+        # `_state_key_str`, kept when `norm` makes the state, or 1 and the
+        # name of a cap, so that caps sort after every state
+        self.keys: dict = tss._memo.setdefault(
+            "option-keys", {cap: (1, cap) for cap in ("size", "hypothesis")})
+        self.key = self.keys.__getitem__
         # normal state -> its obligations, shared by the plain and proper
         # game of this notion; the caps in the key keep a table from
         # answering for another budget
         self.table: dict = tss._memo.setdefault(
             ("obligations", type(self), self.SIZE_CAP, self.HYP_CAP), {})
-        # the sort key of an option, made once: states before caps
-        self.key = functools.cache(lambda o: (1, o) if isinstance(o, str)
-                                   else (0, _state_key_str(o)))
 
     def norm(self, s: Term, t: Term, gamma: frozenset[Hyp]):
         raw = (s, t, gamma)
-        if raw not in self.norms:
-            self.norms[raw] = _norm_state(s, t, gamma)
-        return self.norms[raw]
+        state = self.norms.get(raw)
+        if state is None:
+            state, key = _norm_state(s, t, gamma)
+            self.norms[raw] = state
+            self.keys[state] = (0, *key)
+        return state
 
     def over(self, size: int, hyps: int) -> str | None:
         """The cap that a state or ruloid of `size` operator nodes (on its
@@ -684,6 +685,7 @@ class _FhGame(_Game):
         }
 
 
+@_gc_paused
 def fh_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
     return _FhGame(tss, bounds.pair_cap, False).run(s, t)
 
@@ -733,14 +735,17 @@ class _HpGame(_Game):
         }
 
 
+@_gc_paused
 def hp_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
     return _HpGame(tss, bounds.pair_cap, False).run(s, t)
 
 
+@_gc_paused
 def pfh_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
     return _FhGame(tss, bounds.pair_cap, True).run(s, t)
 
 
+@_gc_paused
 def php_bisim(s: Term, t: Term, tss: Tss, bounds: Bounds = Bounds()) -> Verdict:
     return _HpGame(tss, bounds.pair_cap, True).run(s, t)
 

@@ -17,7 +17,7 @@ from . import analysis, equations, specio
 from .bisim import Bounds, NOTIONS, check
 from .ruloids import explore, ruloids, transitions
 from .specio import ParseError, parse, parse_term
-from .terms import SignatureError
+from .terms import SignatureError, _gc_paused
 
 OK, FAIL, INPUT_ERROR, INCONCLUSIVE_AT_BOUND = 0, 1, 2, 3
 
@@ -427,6 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@_gc_paused
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:

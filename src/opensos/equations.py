@@ -17,6 +17,7 @@ from .terms import (
     SignatureError,
     Term,
     Var,
+    _gc_paused,
     apply_subst,
     check_term,
     term_size,
@@ -123,6 +124,7 @@ class ProofResult:
 _REVERSED = {"lr": "rl", "rl": "lr"}
 
 
+@_gc_paused
 def prove(theory: EquationalTheory, goal: Equation, depth: int = 6,
           inst_size: int = 3) -> ProofResult:
     """Bidirectional bounded rewrite search in the equational closure.
@@ -275,6 +277,7 @@ def _evidence(v: Verdict) -> str:
     return "%s via %s" % (v.kind, via) if via else v.kind
 
 
+@_gc_paused
 def preservation_advisor(theory: EquationalTheory, base: Tss, ext: Tss,
                          notion: str, bounds: Bounds = Bounds()
                          ) -> PreservationReport:

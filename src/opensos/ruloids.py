@@ -46,11 +46,31 @@ class Ruloid:
     def hyps_sorted(self) -> tuple[Hyp, ...]:
         return tuple(sorted(self.hyps, key=lambda h: (h.target, h.source, h.label)))
 
+    def hyp_groups(self) -> tuple[tuple[tuple[str, str], tuple[Hyp, ...]], ...]:
+        """The items of `_group_hyps(self.hyps)`, grouped on the first call
+        and kept on the ruloid, outside its fields: ruloids are memoised
+        per TSS, and the games embed the same ones again and again."""
+        groups = self.__dict__.get("_hyp_groups")
+        if groups is None:
+            groups = tuple((k, tuple(hs))
+                           for k, hs in _group_hyps(self.hyps).items())
+            object.__setattr__(self, "_hyp_groups", groups)
+        return groups
+
     def __str__(self) -> str:
         prem = ", ".join(str(h) for h in self.hyps_sorted())
         return "%s|- %s -%s-> %s" % (
             prem + " " if prem else "", self.source, self.label, self.target
         )
+
+
+def _group_hyps(hyps) -> dict[tuple[str, str], list[Hyp]]:
+    """Hypotheses by (source, label), in that order, each group sorted by
+    target."""
+    groups: dict[tuple[str, str], list[Hyp]] = {}
+    for h in sorted(hyps, key=lambda h: (h.source, h.label, h.target)):
+        groups.setdefault((h.source, h.label), []).append(h)
+    return groups
 
 
 def _synthesize(t: Term, tss: Tss) -> tuple[Ruloid, ...]:

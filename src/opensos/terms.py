@@ -7,6 +7,8 @@ exactly when they are the same object.
 """
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 import threading
 import weakref
@@ -117,6 +119,33 @@ def _print(t: App) -> str:
 # (op, args) -> the live node; weak, so it drains as terms die
 _interned: "weakref.WeakValueDictionary[tuple, App]" = weakref.WeakValueDictionary()
 _intern_lock = threading.Lock()
+
+
+def _gc_paused(fn):
+    """fn, run with the cyclic collector paused.
+
+    Nothing opensos builds forms a reference cycle: a node only points at
+    older nodes, and the memo tables, ruloids and verdicts only at terms
+    and plain data.  Reference counting frees all of it, and a collection
+    during a question would only rescan those acyclic heaps.  So each
+    public question disables the collector while it runs and enables it
+    again on the way out, also when it raises.  If the collector is
+    already off, paused by an outer question or by the caller, fn runs as
+    is: the pause never turns the collector on for a caller who had it
+    off, and never leaves it off.  Questions in other threads share the
+    one collector switch, so there the worst case is that a pause ends
+    early, when the question that began it returns first.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 def _init_node(node: App, key: tuple) -> None:

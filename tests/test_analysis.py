@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import pytest
 
 import opensos.tss
+from opensos import analysis
 from opensos import (
     App,
     ArityConflictError,
@@ -329,6 +333,32 @@ def test_non_evolving_placement_meets_the_criteria():
                   App("test", (Var("x"),)))
     crit = robust_equation_criteria(eq, t, 2)
     assert crit.met, crit
+
+
+def test_placement_violations_come_in_pre_order_without_a_cycle(corpus_tsss):
+    # a walk that left a reference cycle behind would keep the table alive
+    # until the cyclic collector runs
+    ccs = corpus_tsss["Ccs"]
+    t = parse_term("plus(plus(x, pre_a(y)), plus(zero, z))", ccs)
+    table = non_evolving_indices(ccs)
+    ref = weakref.ref(table)
+    gc.collect()
+    gc.disable()
+    try:
+        found = analysis._open_argument_placement(t, table)
+        del table
+        alive = ref() is not None
+    finally:
+        gc.enable()
+    assert not alive
+    assert found == [
+        "open argument plus(x, pre_a(y)) at evolving index 0 of plus",
+        "open argument x at evolving index 0 of plus",
+        "open argument pre_a(y) at evolving index 1 of plus",
+        "open argument y at evolving index 0 of pre_a",
+        "open argument plus(zero, z) at evolving index 1 of plus",
+        "open argument z at evolving index 1 of plus",
+    ]
 
 
 def test_robust_extension_label_overlap_detected(corpus_tsss):
