@@ -39,7 +39,7 @@ from .terms import (
     vars_of,
 )
 from .tss import Tss
-from .ruloids import Hyp, Lts, Ruloid, _group_hyps, explore, ruloids
+from .ruloids import Hyp, Ruloid, _group_hyps, explore, ruloids
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -104,30 +104,6 @@ def _identity() -> Verdict:
 
 # ---------------------------------------------------------------------------
 # strong bisimilarity on closed terms
-
-
-def _join(lp: Lts, lq: Lts):
-    """The states of two LTSs numbered once, p's numbers kept, and every
-    state's edges as (label, number) pairs; also q's root number.  An LTS
-    holds only full expansions, so a state either LTS expanded gets its
-    complete edge list and any other state has no edges."""
-    states = list(lp.states)
-    number = {s: i for i, s in enumerate(states)}
-    renum = []
-    for s in lq.states:
-        i = number.get(s)
-        if i is None:
-            i = number[s] = len(states)
-            states.append(s)
-        renum.append(i)
-    succ = list(lp.succ)
-    by_p = len(succ)  # the states p expanded are numbered first
-    succ += [()] * (len(states) - by_p)
-    for k, edges in enumerate(lq.succ):
-        i = renum[k]
-        if i >= by_p:
-            succ[i] = tuple((l, renum[j]) for (l, j) in edges)
-    return states, succ, renum[0]
 
 
 def _refine(succ, rounds: int, p: int, q: int) -> list[list[int]]:
@@ -267,7 +243,15 @@ def _strong(p: Term, q: Term, tss: Tss, bounds: Bounds) -> Verdict:
                          % " and ".join(open_sides))
     lp = explore(p, tss, bounds.state_cap)
     lq = explore(q, tss, bounds.state_cap)
-    states, succ, qi = _join(lp, lq)
+    # number the states once, p's first; a state both sides expanded has the
+    # same moves on both, and a state neither expanded has none
+    number: dict[Term, int] = {}
+    for s in lp.states + lq.states:
+        number.setdefault(s, len(number))
+    states = list(number)
+    succ = [[(l, number[t]) for (l, t) in lp.succ.get(s) or lq.succ.get(s, ())]
+            for s in states]
+    qi = number[q]
     cap = lp.cap or lq.cap
     cuts = [lts.horizon for lts in (lp, lq) if lts.cap]
     # without a cut, refinement is stable within n rounds

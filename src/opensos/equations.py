@@ -297,22 +297,20 @@ def preservation_advisor(theory: EquationalTheory, base: Tss, ext: Tss,
     reports = []
     for eq in theory.axioms:
         sound = check(notion, eq.lhs, eq.rhs, base, bounds)
-        not_unsound = not sound.fails
         evidence = _evidence(sound)
         theorems: dict = {}
 
         if notion == "ci":
             crit4 = robust_extension_criteria(base, ext, (eq,))
             theorems["robust-extension-labels"] = {
-                "applies": crit4.robust and not_unsound,
+                "applies": crit4.robust and sound.holds,
                 "verdict_on_base": evidence,
                 **_extension_conjuncts(crit4),
             }
 
         if notion in ("fh", "hp"):
-            holds_base = sound.holds
             theorems["no-new-labels"] = {
-                "applies": (not new_labels) and holds_base and extrep.disjoint,
+                "applies": (not new_labels) and sound.holds and extrep.disjoint,
                 "adds_labels": new_labels,
                 "certificate_on_base": sound.kind,
             }
@@ -334,7 +332,7 @@ def preservation_advisor(theory: EquationalTheory, base: Tss, ext: Tss,
                     "label_guard": str(exc)}
             else:
                 theorems["non-evolving-criteria"] = {
-                    "applies": crit3.met and not_unsound,
+                    "applies": crit3.met and sound.holds,
                     "verdict_on_base": evidence,
                     **_equation_conjuncts(crit3),
                 }

@@ -186,20 +186,23 @@ def initial_actions(p: Term, tss: Tss) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class Lts:
-    """A reachable LTS with its states numbered in breadth-first order.
+    """A reachable LTS, a view of the TSS's memo of closed transitions.
 
-    `states[0]` is the root; `succ[i]` is state i's complete edge list, as
-    (label, state number) pairs in `transitions` order.  `cap` names the
-    bound that refused a state, None when the LTS is complete.  A truncated
-    LTS keeps only full expansions: `succ` stops before the state whose
-    expansion the cap cut short, `states` holds the states their edges
-    reach, and `horizon` is the cut state's distance from the root.  States
-    are numbered breadth-first, so every state nearer the root than the
-    horizon is expanded.
+    `states` holds the reached states in breadth-first order, the root
+    first.  `succ` maps each fully expanded state to the very tuple
+    `transitions(s, tss)` returns, (label, target) pairs in derivation
+    order: nothing is copied or numbered, so a state is derived once per
+    TSS however often it is explored.  `cap` names the bound that refused
+    a state, None when the LTS is complete.  A truncated LTS keeps only
+    full expansions: `succ` leaves out the state whose expansion the cap
+    cut short and every later one, `states` holds the states their moves
+    reach, and `horizon` is the cut state's distance from the root.  The
+    walk is breadth-first, so every state nearer the root than the horizon
+    is expanded.
     """
 
     states: tuple[Term, ...]
-    succ: tuple[tuple[tuple[str, int], ...], ...]
+    succ: dict[Term, tuple[tuple[str, Term], ...]]
     cap: str | None = None
     horizon: int | None = None
 
@@ -209,10 +212,8 @@ class Lts:
 
     @property
     def transitions(self) -> frozenset[tuple[Term, str, Term]]:
-        states = self.states
-        return frozenset((states[i], l, states[j])
-                         for i, edges in enumerate(self.succ)
-                         for (l, j) in edges)
+        return frozenset((s, l, q) for s, moves in self.succ.items()
+                         for (l, q) in moves)
 
 
 STATE_SIZE_CAP = 1000  # derivatives can outgrow any state cap on copying rules
@@ -221,45 +222,41 @@ STATE_DEPTH_CAP = 120  # keeps recursive traversals well inside stack limits
 
 def explore(p: Term, tss: Tss, state_cap: int = 10_000) -> Lts:
     """The LTS reachable from the closed term p, explored breadth-first,
-    each state's successors numbered in `transitions` order.
+    each state's successors met in `transitions` order.
 
     Exploration stops at the first new state that a bound refuses: the
     state cap (the number of states), `STATE_SIZE_CAP` (operator nodes of
     one state) or `STATE_DEPTH_CAP` (its nesting depth).  The result then
-    names that bound in `cap`, drops the partial edge list of the state
-    being expanded and the states only that list reached, and records that
+    names that bound in `cap`, leaves the state being expanded out of
+    `succ`, drops the states only its moves reached, and records that
     state's distance as `horizon`; otherwise it is complete.  A truncated
     LTS is incomplete whichever state is refused first, so stopping there
     loses nothing a caller could decide from it.
     """
-    number = {p: 0}
+    seen = {p}
     states = [p]
-    succ: list[tuple[tuple[str, int], ...]] = []
+    succ: dict[Term, tuple[tuple[str, Term], ...]] = {}
     level, level_end = 0, 1  # state i's distance; the next level's first state
     for i, s in enumerate(states):  # grows while walked: a breadth-first queue
         if i == level_end:
             level, level_end = level + 1, len(states)
         known = len(states)  # the states reached before s is expanded
-        edges = []
-        for (l, q) in transitions(s, tss):
-            j = number.get(q)
-            if j is None:
-                j = len(states)
+        moves = transitions(s, tss)
+        for (_, q) in moves:
+            if q not in seen:
                 cap = None
-                if j >= state_cap:
+                if len(states) >= state_cap:
                     cap = "state cap %d" % state_cap
                 elif q.size > STATE_SIZE_CAP:
                     cap = "state size cap %d" % STATE_SIZE_CAP
                 elif q.depth > STATE_DEPTH_CAP:
                     cap = "state depth cap %d" % STATE_DEPTH_CAP
                 if cap:
-                    return Lts(tuple(states[:known]), tuple(succ), cap,
-                               level)
-                number[q] = j
+                    return Lts(tuple(states[:known]), succ, cap, level)
+                seen.add(q)
                 states.append(q)
-            edges.append((l, j))
-        succ.append(tuple(edges))
-    return Lts(tuple(states), tuple(succ))
+        succ[s] = moves
+    return Lts(tuple(states), succ)
 
 
 def instantiations(r: Ruloid, sigma: Subst, tss: Tss

@@ -239,6 +239,11 @@ def test_choice_has_no_non_evolving_index(corpus_tsss):
     assert non_evolving_indices(corpus_tsss["Ccs"]).of("plus") == frozenset()
 
 
+def test_the_non_evolving_table_refuses_an_undeclared_operator(corpus_tsss):
+    with pytest.raises(KeyError, match="pre_b"):
+        non_evolving_indices(corpus_tsss["Ccs"]).of("pre_b")
+
+
 def test_discarding_operator_is_non_evolving():
     t = _tss('tss T { labels: a; op zero/0; op test/1; '
              'rule "r": x -a-> x2 |- test(x) -a-> zero; }')

@@ -317,6 +317,12 @@ def test_empty_corpus_directory(tmp_path, capsys):
     assert "0 fixture(s)" in out
 
 
+def test_a_missing_corpus_directory_is_an_input_error(tmp_path, capsys):
+    missing = str(tmp_path / "nowhere")
+    code, out, err = run(capsys, "corpus", missing)
+    assert (code, out, err) == (2, "", "error: no such directory %r\n" % missing)
+
+
 def test_inverted_expectation_is_named(tmp_path, capsys):
     shutil.copy(CORPUS / "ex3.sos", tmp_path / "ex3.sos")
     manifest = {"fixtures": [

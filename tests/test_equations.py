@@ -235,6 +235,53 @@ def test_advisor_reports_broken_forwarding_axiom(corpus_docs):
     assert not axiom.contradiction
 
 
+# c and g(c) both move on a forever, through ever deeper states, so no
+# bound decides them; the base is fertile (d is dead) and the equation
+# closed, so it meets the non-evolving criteria
+UNFOLD = parse("""
+tss B {
+  labels: a;
+  op d/0;
+  op c/0;
+  op g/1;
+  op h/1;
+  rule "c": |- c -a-> g(c);
+  rule "g": |- g(x) -a-> g(g(x));
+  rule "h": x -a-> y |- h(x) -a-> y;
+}
+tss E extends B {
+  labels: a;
+  op n/0;
+  rule "n": |- n -a-> n;
+}
+eq "unfold": c = g(c) @ B;
+""")
+
+
+def test_ci_theorems_apply_only_on_a_certified_base(corpus_docs):
+    # ci cannot certify wrap on Rep, and RepA's dead constant breaks it, so
+    # the label criteria RepA meets guarantee nothing
+    doc = corpus_docs["ex6"]
+    report = preservation_advisor(_theory(doc, "Rep", "wrap"), doc.tss("Rep"),
+                                  doc.tss("RepA"), "ci", SMALL)
+    (axiom,) = report.axioms
+    assert axiom.soundness_on_base.inconclusive
+    assert axiom.theorems["robust-extension-labels"]["disjoint"]
+    assert axiom.recheck_on_extension.fails
+    assert not any(th["applies"] for th in axiom.theorems.values())
+    assert axiom.classification == BROKEN and axiom.theorem is None
+    assert not axiom.contradiction
+    # likewise the non-evolving criteria, which unfold meets on B
+    report = preservation_advisor(_theory(UNFOLD, "B", "unfold"),
+                                  UNFOLD.tss("B"), UNFOLD.tss("E"), "ci", SMALL)
+    (axiom,) = report.axioms
+    criteria = axiom.theorems["non-evolving-criteria"]
+    assert axiom.soundness_on_base.inconclusive
+    assert criteria["initially_fertile"] and not criteria["placement_violations"]
+    assert not any(th["applies"] for th in axiom.theorems.values())
+    assert axiom.classification == EMPIRICAL and axiom.theorem is None
+
+
 def test_advisor_no_new_labels_route(corpus_docs):
     base_doc = parse("""
 tss F {

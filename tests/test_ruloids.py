@@ -132,8 +132,27 @@ def test_explore_cap_marks_incomplete():
     assert not lts.complete
     assert len(lts.states) == 5
     # s(s(s(s(c)))), four steps out, was cut short: only the four states
-    # before it keep their edges
-    assert (len(lts.succ), lts.horizon) == (4, 4)
+    # before it keep their moves
+    assert (list(lts.succ), lts.horizon) == (list(lts.states[:4]), 4)
+    assert str(lts.states[4]) == "s(s(s(s(c))))"
+
+
+def test_an_lts_is_a_view_of_the_transitions_memo(corpus_tsss):
+    ccs = corpus_tsss["Ccs"]
+    root = parse_term("plus(pre_a(pre_a(zero)), pre_a(plus(zero, pre_a(zero))))",
+                      ccs)
+    lts = explore(root, ccs)
+    assert lts.complete and len(lts.succ) == len(lts.states) > 1
+    # each state's moves are the tuple `transitions` keeps, not a copy
+    for s in lts.states:
+        assert lts.succ[s] is transitions(s, ccs)
+    # exploring again, or from a state already reached, derives nothing new
+    memo = ccs._memo["transitions"]
+    derived = len(memo)
+    for s in lts.states:
+        again = explore(s, ccs)
+        assert all(again.succ[t] is lts.succ[t] for t in again.states)
+    assert len(memo) == derived
 
 
 def test_instantiate_ruloid_discharges_hypotheses():
