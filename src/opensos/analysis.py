@@ -111,7 +111,7 @@ def non_evolving_indices(tss: Tss) -> NonEvolvingTable:
     table = []
     for op, arity in sorted(tss.all_signature.operators):
         good = set(range(arity))
-        for shape in tss.defining_shapes(op):
+        for shape in tss.shape_table().get(op, ()):
             tvars = vars_of(shape.target)
             for i in list(good):
                 if shape.source_vars[i] in tvars:

@@ -491,7 +491,7 @@ class _Game:
         # option -> its sort key, also per TSS: 0 and a normal state's
         # `_state_key_str`, kept when `norm` makes the state, or 1 and the
         # name of a cap, so that caps sort after every state
-        self.keys: dict = tss._memo.setdefault(
+        self.keys: dict = tss._memo.get("option-keys") or tss._memo.setdefault(
             "option-keys", {cap: (1, cap) for cap in ("size", "hypothesis")})
         self.key = self.keys.__getitem__
         # normal state -> its obligations, shared by the plain and proper

@@ -297,10 +297,12 @@ class _Fixture(dict):
         return self[key]
 
 
-def _run_fixture(fx: dict, root: Path, bounds: Bounds) -> tuple[str, str]:
-    """Returns (expected, actual) labels for one manifest entry."""
+def _run_fixture(fx: dict, root: Path, bounds: Bounds,
+                 docs: dict) -> tuple[str, str]:
+    """Returns (expected, actual) labels for one manifest entry, parsing
+    its spec file unless `docs`, the documents by file name, has it."""
     a = _Fixture(fx)
-    doc = _load(root / a.spec)
+    doc = docs[a.spec] = docs.get(a.spec) or _load(root / a.spec)
     for key in fx.get("bounds", {}):
         if key not in _BOUND_KEYS:
             raise SystemExit("unknown bound %r" % key)
@@ -335,10 +337,10 @@ def cmd_corpus(args) -> int:
                          'object of strings with a "name" and optional '
                          '"bounds" object' % manifest_path)
     bounds = _bounds_from(args)
-    rows = []
+    rows, docs = [], {}
     for fx in sorted(fixtures, key=lambda f: f["name"]):
         try:
-            expected, actual = _run_fixture(fx, root, bounds)
+            expected, actual = _run_fixture(fx, root, bounds, docs)
         except (ValueError, SystemExit) as exc:
             expected, actual = fx.get("expect", "?"), "error: %s" % exc
         rows.append({"name": fx["name"], "expect": expected,

@@ -83,7 +83,7 @@ def _synthesize(t: Term, tss: Tss) -> tuple[Ruloid, ...]:
     occ = {name: i for i, name in enumerate(var_order(t))}
     avoid = vars_of(t)
     results: list[Ruloid] = []
-    for shape in tss.defining_shapes(t.op):
+    for shape in tss.shape_table().get(t.op, ()):
         # per premise: the candidate sub-ruloids of the bound argument term
         choice_lists = [[r for r in sub_ruloids[idx] if r.label == plabel]
                         for (idx, plabel, _) in shape.premises]
@@ -143,10 +143,11 @@ def transitions(p: Term, tss: Tss) -> tuple[tuple[str, Term], ...]:
     """
     if not is_closed(p):
         raise ValueError("transitions requires a closed term, got %s" % p)
-    return _transitions(p, tss, tss._memo.setdefault("transitions", {}))
+    return _transitions(p, tss.shape_table(),
+                        tss._memo.setdefault("transitions", {}))
 
 
-def _transitions(p: App, tss: Tss, cache: dict
+def _transitions(p: App, shapes: dict, cache: dict
                  ) -> tuple[tuple[str, Term], ...]:
     """`transitions` of the closed term p, kept in `cache`.  A rule with a
     premise that has no move derives nothing, so its later premises are not
@@ -158,13 +159,14 @@ def _transitions(p: App, tss: Tss, cache: dict
     args = p.args
     by_label: dict[Term, dict[str, list[Term]]] = {}
     result: dict[tuple[str, Term], None] = {}
-    for shape in tss.defining_shapes(p.op):
+    for shape in shapes.get(p.op, ()):
         choices = []
         for (idx, plabel, _) in shape.premises:
-            groups = by_label.get(args[idx])
+            a = args[idx]
+            groups = by_label.get(a)
             if groups is None:
-                groups = by_label[args[idx]] = {}
-                for (l, q) in _transitions(args[idx], tss, cache):
+                groups = by_label[a] = {}
+                for (l, q) in cache.get(a) or _transitions(a, shapes, cache):
                     groups.setdefault(l, []).append(q)
             succ = groups.get(plabel)
             if not succ:
@@ -172,10 +174,17 @@ def _transitions(p: App, tss: Tss, cache: dict
             choices.append(succ)
         else:
             env = dict(zip(shape.source_vars, args))
-            for chosen in itertools.product(*choices):
-                for (_, _, y), q in zip(shape.premises, chosen):
+            label, target = shape.label, shape.target
+            if len(choices) == 1:  # one premise: its moves, no product
+                y = shape.premises[0][2]
+                for q in choices[0]:
                     env[y] = q
-                result.setdefault((shape.label, apply_subst(env, shape.target)))
+                    result.setdefault((label, apply_subst(env, target)))
+            else:
+                for chosen in itertools.product(*choices):
+                    for (_, _, y), q in zip(shape.premises, chosen):
+                        env[y] = q
+                    result.setdefault((label, apply_subst(env, target)))
     moves = cache[p] = tuple(result)
     return moves
 
@@ -233,6 +242,8 @@ def explore(p: Term, tss: Tss, state_cap: int = 10_000) -> Lts:
     LTS is incomplete whichever state is refused first, so stopping there
     loses nothing a caller could decide from it.
     """
+    transitions(p, tss)  # refuses an open p, or a TSS outside the format
+    shapes, cache = tss.shape_table(), tss._memo["transitions"]
     seen = {p}
     states = [p]
     succ: dict[Term, tuple[tuple[str, Term], ...]] = {}
@@ -241,7 +252,7 @@ def explore(p: Term, tss: Tss, state_cap: int = 10_000) -> Lts:
         if i == level_end:
             level, level_end = level + 1, len(states)
         known = len(states)  # the states reached before s is expanded
-        moves = transitions(s, tss)
+        moves = cache.get(s) or _transitions(s, shapes, cache)
         for (_, q) in moves:
             if q not in seen:
                 cap = None

@@ -12,6 +12,7 @@ import gc
 import itertools
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -30,6 +31,7 @@ class App:
     Hash-consed: constructing an App equal to one that is still alive
     returns that node, so structural equality is object identity, and
     `==` and `hash` use the identity of the node, however large the term.
+    The intern table holds nodes weakly: a node's entry goes as it dies.
     Nodes are immutable.  Facts derived from the structure are computed
     once per node, from the children's: size, depth, closedness and the
     variables in first-occurrence order.
@@ -54,15 +56,35 @@ class App:
 
     def __new__(cls, op: str, args: tuple = ()):
         key = (op, args)
-        node = _interned.get(key)
-        if node is not None:
+        ref = _interned.get(key)
+        if ref is not None and (node := ref()) is not None:
             return node
+        size, depth, vorder = 1, 0, ()
+        for a in args:
+            if isinstance(a, App):
+                size += a.size
+                if a.depth > depth:
+                    depth = a.depth
+                vorder += a.vorder
+            else:
+                vorder += (a.name,)
+        if len(vorder) > 1:
+            vorder = tuple(dict.fromkeys(vorder))
+        node = object.__new__(cls)
+        put = object.__setattr__
+        put(node, "op", op)
+        put(node, "args", args)
+        put(node, "size", size)
+        put(node, "depth", depth + 1)
+        put(node, "closed", not vorder)
+        put(node, "vorder", vorder)
+        put(node, "_str", None)
         with _intern_lock:
-            node = _interned.get(key)
-            if node is None:
-                node = object.__new__(cls)
-                _init_node(node, key)
-                _interned[key] = node
+            ref = _interned.get(key)
+            if ref is not None and (won := ref()) is not None:
+                return won  # another thread made it first
+            ref = _interned[key] = _Ref(node, _drop)
+            ref.key = key
         return node
 
     def __setattr__(self, name, value):
@@ -116,8 +138,19 @@ def _print(t: App) -> str:
     return "".join(out)
 
 
-# (op, args) -> the live node; weak, so it drains as terms die
-_interned: "weakref.WeakValueDictionary[tuple, App]" = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # the node's key in _interned
+
+
+def _drop(ref: _Ref) -> None:
+    # in one step, and only while the entry is dead: the key may live again.
+    # Never under _intern_lock, since a node can die inside the locked region
+    _remove_dead_weakref(_interned, ref.key)
+
+
+# (op, args) -> a weak reference to the live node; entries drain as terms
+# die, when the reference calls back `_drop`.  The lock guards insertions
+_interned: dict[tuple, _Ref] = {}
 _intern_lock = threading.Lock()
 
 
@@ -146,28 +179,6 @@ def _gc_paused(fn):
         finally:
             gc.enable()
     return paused
-
-
-def _init_node(node: App, key: tuple) -> None:
-    op, args = key
-    size, depth = 1, 0
-    order: dict[str, None] = {}
-    for a in args:
-        if isinstance(a, App):
-            size += a.size
-            depth = max(depth, a.depth)
-            order.update(dict.fromkeys(a.vorder))
-        else:
-            order[a.name] = None
-    vorder = tuple(order)
-    put = object.__setattr__
-    put(node, "op", op)
-    put(node, "args", args)
-    put(node, "size", size)
-    put(node, "depth", depth + 1)
-    put(node, "closed", not vorder)
-    put(node, "vorder", vorder)
-    put(node, "_str", None)
 
 
 Term = Var | App

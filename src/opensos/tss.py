@@ -157,8 +157,9 @@ class Tss:
         """(rule name, reason) of each rule outside positive GSOS."""
         return self._rule_table()[1]
 
-    def defining_shapes(self, op: str) -> tuple[GsosShape, ...]:
-        """The GSOS shapes of the rules defining `op`, in declaration order.
+    def shape_table(self) -> dict[str, tuple[GsosShape, ...]]:
+        """The GSOS shapes of the rules by the operator they define, in
+        declaration order.
 
         Every result of the theory assumes positive GSOS, so a TSS with any
         rule outside the format is refused here, whichever operator is asked.
@@ -166,4 +167,4 @@ class Tss:
         shapes, violations = self._rule_table()
         if violations:
             raise FormatViolation("rule %r: %s" % violations[0])
-        return shapes.get(op, ())
+        return shapes

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from opensos import cli
 from opensos.cli import main
 
 from conftest import CORPUS, ROOT
@@ -309,6 +310,60 @@ def test_corpus_json_deterministic(capsys):
     _, first, _ = run(capsys, "corpus", str(CORPUS), "--json")
     _, second, _ = run(capsys, "corpus", str(CORPUS), "--json")
     assert first == second
+
+
+def _counting_parse(monkeypatch) -> list:
+    """Patch the CLI's parser to record the text of every parse."""
+    texts = []
+    parse = cli.parse
+    monkeypatch.setattr(cli, "parse", lambda text: texts.append(text)
+                        or parse(text))
+    return texts
+
+
+def test_the_corpus_parses_each_spec_file_once(capsys, monkeypatch):
+    fixtures = json.loads((CORPUS / "manifest.json").read_text())["fixtures"]
+    texts = _counting_parse(monkeypatch)
+    code, out, _ = run(capsys, "corpus", str(CORPUS), "--json")
+    assert code == 0
+    assert len(json.loads(out)["fixtures"]) == len(fixtures) == 31
+    assert len(texts) == len({fx["spec"] for fx in fixtures}) == 7
+    assert len(set(texts)) == 7
+
+
+def test_shared_documents_answer_as_a_parse_of_their_own(tmp_path, capsys):
+    _, out, _ = run(capsys, "corpus", str(CORPUS), "--json")
+    fixtures = json.loads((CORPUS / "manifest.json").read_text())["fixtures"]
+    alone = []
+    for fx in sorted(fixtures, key=lambda f: f["name"]):
+        own = dict(fx, spec=str(CORPUS / fx["spec"]))
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"fixtures": [own]}))
+        _, one, _ = run(capsys, "corpus", str(tmp_path), "--json")
+        alone += json.loads(one)["fixtures"]
+    assert json.loads(out)["fixtures"] == alone
+
+
+def test_a_spec_that_fails_to_parse_errs_on_every_fixture(tmp_path, capsys,
+                                                          monkeypatch):
+    (tmp_path / "bad.sos").write_text("tss T { labels: a; op c/0 }")
+    shutil.copy(CORPUS / "ex3.sos", tmp_path / "ex3.sos")
+    fixtures = [{"name": name, "spec": spec, "command": "gsos-check",
+                 "tss": "F", "expect": "ok"}
+                for name, spec in (("a", "bad.sos"), ("b", "ex3.sos"),
+                                   ("c", "bad.sos"), ("d", "ex3.sos"),
+                                   ("e", "bad.sos"))]
+    (tmp_path / "manifest.json").write_text(json.dumps({"fixtures": fixtures}))
+    texts = _counting_parse(monkeypatch)
+    code, out, err = run(capsys, "corpus", str(tmp_path), "--json")
+    assert (code, err) == (1, "")
+    rows = json.loads(out)["fixtures"]
+    bad = [r["actual"] for r in rows if r["name"] in "ace"]
+    assert bad[0].startswith("error: %s: " % (tmp_path / "bad.sos"))
+    assert bad == [bad[0]] * 3
+    assert [r["actual"] for r in rows if r["name"] in "bd"] == ["ok", "ok"]
+    # the failed parse is tried again for each fixture, the good one is kept
+    assert len(texts) == 4
 
 
 def test_empty_corpus_directory(tmp_path, capsys):

@@ -253,7 +253,7 @@ def _by_substitution(p, tss, cache):
     if p in cache:
         return cache[p]
     result = {}
-    for shape in tss.defining_shapes(p.op):
+    for shape in tss.shape_table().get(p.op, ()):
         binding = dict(zip(shape.source_vars, p.args))
         choice_lists = []
         for (idx, plabel, ptarget) in shape.premises:
@@ -347,7 +347,7 @@ def _two_pass(t, tss, cache):
     counter = itertools.count()
     sub_ruloids = [_two_pass(a, tss, cache) for a in t.args]
     results = []
-    for shape in tss.defining_shapes(t.op):
+    for shape in tss.shape_table().get(t.op, ()):
         base_binding = dict(zip(shape.source_vars, t.args))
         choice_lists = []
         for (idx, plabel, ptarget) in shape.premises:

@@ -1,8 +1,10 @@
 import copy
 import gc
+import operator
 import pickle
 import random
 import sys
+import threading
 
 import pytest
 
@@ -151,6 +153,83 @@ def test_intern_table_drains_when_terms_die():
     gc.collect()
     assert len(terms._interned) <= before
     assert ("probe", (App("zero"),) * 3) not in terms._interned
+
+
+def _naive_facts(t):
+    """(size, depth, variable occurrences) of t by plain recursion."""
+    if isinstance(t, Var):
+        return 0, 0, [t.name]
+    size, depth, occs = 1, 0, []
+    for a in t.args:
+        s, d, o = _naive_facts(a)
+        size, depth, occs = size + s, max(depth, d), occs + o
+    return size, depth + 1, occs
+
+
+def test_node_facts_match_a_naive_recomputation(corpus_tsss):
+    rng = random.Random(24)
+    draws = []
+    for _ in range(200):
+        tss = random_tss(rng)
+        draws += [random_closed_term(rng, tss, 4), random_open_term(rng, tss, 4)]
+    small = [t for tss in corpus_tsss.values()
+             for t in enumerate_open_terms(tss.all_signature, 3, ("x", "y"))]
+    for t in small + draws:
+        if isinstance(t, App):
+            size, depth, occs = _naive_facts(t)
+            assert (t.size, t.depth, t.closed, t.vorder) == (
+                size, depth, not occs, tuple(dict.fromkeys(occs))), t
+
+
+def test_a_stale_callback_spares_a_recreated_entry():
+    key = ("stale", (App("zero"),))
+    t = App(*key)
+    ref = terms._interned[key]
+    callback = ref.__callback__  # a reference forgets it once called
+    del t  # the node dies, and the callback drops the entry
+    assert key not in terms._interned
+    again = App(*key)
+    callback(ref)  # as if the old callback ran only now
+    assert terms._interned[key]() is again
+    assert App(*key) is again
+
+
+def test_threads_building_and_dropping_the_same_terms_agree():
+    errors = []
+    start = threading.Barrier(4)
+
+    def build():
+        return [App("thr", (App("thr%d" % k),)) for k in range(500)]
+
+    def churn():
+        try:
+            for _ in range(10):
+                start.wait(timeout=60)  # so that the threads meet on a key
+                made = build()
+                assert all(map(operator.is_, made, build()))
+                del made
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+            start.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to meet the races
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    for key, ref in list(terms._interned.items()):
+        node = ref()
+        if node is not None:
+            assert (node.op, node.args) == key
+            assert App(*key) is node
+    assert not [key for key in terms._interned if key[0].startswith("thr")]
 
 
 def test_a_dropped_substitution_result_dies_without_the_collector():
